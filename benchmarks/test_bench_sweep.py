@@ -1,11 +1,12 @@
-"""Engine micro-benchmarks: parallel fan-out, dispatch, per-pass reuse.
+"""Engine micro-benchmarks: fan-out, dispatch, reuse, continuation, memo.
 
-Three benchmarks, all recorded (merged by name) into
+Five benchmarks, all recorded (merged by name) into
 ``benchmarks/results/BENCH_sweep.json`` so future PRs have a perf
 trajectory for the engine:
 
 * ``sweep_serial_vs_parallel`` — the same reduced-size plan through a
-  serial and a process-pool executor, asserting bit-identical cells.
+  serial and a process-pool executor, each started cold, asserting
+  bit-identical cells.
 * ``sweep_dispatch`` — the same plan through the ``process`` (one pool
   task per cell) and ``chunked`` (kernel-major chunks + worker-side
   shared-cache stores) execution backends, asserting bit-identical
@@ -18,8 +19,11 @@ trajectory for the engine:
   re-executions, which is what makes constraint sweeps cheap.
 * ``wlo_continuation`` — the same fir:vex-1 paper-grid sweep cold and
   with ``--continuation``-style warm starts, guarding the warm-start
-  speedup floor and the continuation quality contract (every warm cell
-  feasible at cost ≤ its cold counterpart).
+  evaluation cut, a wall-time floor and the continuation quality
+  contract (every warm cell feasible at cost ≤ its cold counterpart).
+* ``noise_memo`` — the cold fir panel of the paper grid (4 targets × 7
+  constraints), guarding the hit ratio of the accuracy model's
+  state-keyed noise memo.
 """
 
 from __future__ import annotations
@@ -29,9 +33,11 @@ import platform
 import time
 
 from repro.experiments import KernelConfig, SweepCache, SweepExecutor, SweepPlan
-from repro.experiments.engine import PAPER_CONSTRAINT_GRID
+from repro.experiments import engine
+from repro.experiments.engine import PAPER_CONSTRAINT_GRID, PAPER_TARGETS
 from repro.pipeline import ANALYSIS_PASS_NAMES, PassCache, run_flow
 from repro.pipeline.cache import global_pass_cache
+from repro.pipeline.passes import AccuracyModelPass
 from repro.targets import get_target
 from repro.wlo import clear_continuations
 
@@ -41,9 +47,20 @@ from conftest import record_bench as _record
 #: than this factor over per-cell process dispatch on the same plan.
 CHUNK_OVERHEAD_LIMIT = 2.5
 
-#: Warm-start continuation must make the fir:vex-1 paper-grid sweep at
-#: least this much faster than the cold baseline (PR-8 acceptance bar).
-WARM_SPEEDUP_FLOOR = 1.5
+#: Warm-start continuation must cut the WLO evaluations of the fir:vex-1
+#: paper-grid sweep at least this much (deterministic: 5,122 -> 1,705).
+WARM_EVALS_FLOOR = 2.5
+
+#: ... and must still pay off in wall time.  The noise-model memo lets a
+#: cold sweep share evaluations across its constraints, so the wall-time
+#: gain is smaller and noisier than the evaluation cut; this floor only
+#: catches a warm start that stopped paying.
+WARM_SPEEDUP_FLOOR = 1.2
+
+#: One accuracy model serves all 28 cells of a kernel, and every search
+#: starts from the same all-max spec, so most noise queries repeat a
+#: state (deterministic: fir answers 93 % of them from the memo).
+NOISE_MEMO_HIT_FLOOR = 0.9
 
 BENCH_CONFIG = KernelConfig(
     n_samples=256, analysis_samples=96, image_size=24, analysis_image_size=18
@@ -56,14 +73,27 @@ BENCH_TARGETS = ("xentium", "vex-1")
 BENCH_JOBS = max(2, min(4, os.cpu_count() or 1))
 
 
+def _forget_process_memos() -> None:
+    """Empty the process-global memos a sweep fills (the pass cache and
+    the engine's kernel, context and float-cycle memos), so the next
+    sweep — and every pool worker it forks — starts cold."""
+    global_pass_cache().clear()
+    for memo in (engine._PROGRAMS, engine._CONTEXTS, engine._FLOAT_CYCLES):
+        memo.clear()
+
+
 def test_bench_sweep_serial_vs_parallel(results_dir):
+    """Both sides start cold: a pool forked after the serial side would
+    inherit its warm memos and report a superlinear speedup."""
     plan = SweepPlan.build(BENCH_CONFIG, BENCH_KERNELS, BENCH_TARGETS, BENCH_GRID)
 
+    _forget_process_memos()
     started = time.perf_counter()
     serial_cells, serial_stats = SweepExecutor(BENCH_CONFIG, jobs=1).run(plan)
     serial_seconds = time.perf_counter() - started
     assert serial_stats.computed == len(plan)
 
+    _forget_process_memos()
     started = time.perf_counter()
     parallel_cells, parallel_stats = SweepExecutor(
         BENCH_CONFIG, jobs=BENCH_JOBS
@@ -176,34 +206,37 @@ def test_bench_pass_reuse(results_dir):
 
 
 def test_bench_wlo_continuation(results_dir):
-    """Warm-start continuation: ≥ WARM_SPEEDUP_FLOOR on fir:vex-1.
+    """Warm-start continuation on the fir:vex-1 paper grid.
 
-    Both modes run serially against an empty process-global pass cache
-    and an empty continuation store, so each sweep pays its own
-    analysis prefix and lowerings and the two wall times differ only
-    in WLO search effort.  Best-of-two per mode keeps the CI guard
-    robust against scheduler noise; the quality contract (feasible,
+    Guards the deterministic WLO evaluation cut (≥ WARM_EVALS_FLOOR) and
+    a wall-time floor (≥ WARM_SPEEDUP_FLOOR).  Both modes run serially
+    against an empty process-global pass cache and an empty
+    continuation store, so each sweep pays its own analysis prefix and
+    lowerings and the two wall times differ only in WLO search effort.
+    The modes alternate and each keeps its best of three, so a drift in
+    machine speed hits both alike; the quality contract (feasible,
     cost ≤ cold, per cell) is asserted on the measured cells.
     """
 
     def sweep(continuation: str) -> tuple[float, dict]:
-        best = float("inf")
-        cells = None
-        for _ in range(2):
-            global_pass_cache().clear()
-            clear_continuations()
-            plan = SweepPlan.build(
-                BENCH_CONFIG, ("fir",), ("vex-1",), PAPER_CONSTRAINT_GRID,
-                continuation=continuation,
-            )
-            started = time.perf_counter()
-            cells, stats = SweepExecutor(BENCH_CONFIG, jobs=1).run(plan)
-            best = min(best, time.perf_counter() - started)
-            assert stats.computed == len(plan)
-        return best, cells
+        global_pass_cache().clear()
+        clear_continuations()
+        plan = SweepPlan.build(
+            BENCH_CONFIG, ("fir",), ("vex-1",), PAPER_CONSTRAINT_GRID,
+            continuation=continuation,
+        )
+        started = time.perf_counter()
+        cells, stats = SweepExecutor(BENCH_CONFIG, jobs=1).run(plan)
+        seconds = time.perf_counter() - started
+        assert stats.computed == len(plan)
+        return seconds, cells
 
-    cold_seconds, cold_cells = sweep("")
-    warm_seconds, warm_cells = sweep("warm")
+    cold_seconds = warm_seconds = float("inf")
+    for _ in range(3):
+        seconds, cold_cells = sweep("")
+        cold_seconds = min(cold_seconds, seconds)
+        seconds, warm_cells = sweep("warm")
+        warm_seconds = min(warm_seconds, seconds)
     global_pass_cache().clear()
     clear_continuations()
 
@@ -223,12 +256,14 @@ def test_bench_wlo_continuation(results_dir):
         warm_started += bool(warm_cell.warm_start)
     assert warm_started >= len(warm_cells) - 1
 
-    # The acceptance bar: warm-start continuation pays off.
-    speedup = cold_seconds / warm_seconds
-    assert speedup >= WARM_SPEEDUP_FLOOR
-
+    # The acceptance bars: warm-start continuation cuts the search
+    # effort, and the cut still shows in wall time.
     cold_evals = sum(c.wlo_evaluations for c in cold_cells.values())
     warm_evals = sum(c.wlo_evaluations for c in warm_cells.values())
+    reduction = cold_evals / warm_evals
+    assert reduction >= WARM_EVALS_FLOOR
+    speedup = cold_seconds / warm_seconds
+    assert speedup >= WARM_SPEEDUP_FLOOR
     _record("wlo_continuation", {
         "kernel": "fir",
         "target": "vex-1",
@@ -240,5 +275,51 @@ def test_bench_wlo_continuation(results_dir):
         "speedup_floor": WARM_SPEEDUP_FLOOR,
         "cold_evaluations": cold_evals,
         "warm_evaluations": warm_evals,
+        "evaluations_reduction": round(reduction, 2),
+        "evaluations_floor": WARM_EVALS_FLOOR,
         "warm_cells": warm_started,
+    })
+
+
+def test_bench_noise_memo(results_dir, monkeypatch):
+    """The noise memo answers most queries of a cold paper-size panel.
+
+    Captures the one accuracy model the fir cells share (the pass cache
+    builds it once) and reads its call and miss counters after a cold
+    serial sweep of fir over the paper's targets and constraints.
+    """
+    models = []
+    build_model = AccuracyModelPass.run
+
+    def capture(self, state):
+        outputs = build_model(self, state)
+        models.append(outputs["model"])
+        return outputs
+
+    monkeypatch.setattr(AccuracyModelPass, "run", capture)
+    config = KernelConfig()
+    plan = SweepPlan.build(config, ("fir",), PAPER_TARGETS, PAPER_CONSTRAINT_GRID)
+    _forget_process_memos()
+    started = time.perf_counter()
+    _cells, stats = SweepExecutor(config, jobs=1).run(plan)
+    seconds = time.perf_counter() - started
+    _forget_process_memos()
+    assert stats.computed == len(plan)
+    assert len(models) == 1
+
+    model = models[0]
+    hit_ratio = 1.0 - model.miss_count / model.eval_count
+    assert hit_ratio >= NOISE_MEMO_HIT_FLOOR
+
+    _record("noise_memo", {
+        "kernel": "fir",
+        "targets": list(PAPER_TARGETS),
+        "grid_db": list(PAPER_CONSTRAINT_GRID),
+        "n_cells": len(plan),
+        "python": platform.python_version(),
+        "noise_calls": model.eval_count,
+        "noise_misses": model.miss_count,
+        "hit_ratio": round(hit_ratio, 3),
+        "hit_ratio_floor": NOISE_MEMO_HIT_FLOOR,
+        "sweep_seconds": round(seconds, 3),
     })

@@ -28,6 +28,11 @@ from repro.utils import power_to_db
 
 __all__ = ["AccuracyModel", "build_accuracy_model"]
 
+#: Most memoized noise states per model.  The paper grid touches at
+#: most ~5,300 distinct states per kernel; at ~0.5 KB of key each this
+#: caps a long-lived model (``repro serve``) near 10 MB.
+_MEMO_CAP = 1 << 14
+
 
 @dataclass(frozen=True)
 class _SiteTables:
@@ -137,12 +142,39 @@ class AccuracyModel:
             [entry.value for entry in gains.coeff_entries], dtype=np.float64
         )
         self._coeff_cache: dict[tuple, float] = {}
+        self._memo: dict[bytes, float] = {}
+        #: Every :meth:`noise_power` call, memo hits included.
         self.eval_count = 0
+        #: Calls that missed the memo and evaluated the closed form.
+        self.miss_count = 0
 
     # ------------------------------------------------------------------
     def noise_power(self, spec: FixedPointSpec) -> float:
-        """Output noise power of ``spec`` (linear, not dB)."""
+        """Output noise power of ``spec`` (linear, not dB).
+
+        Memoized on the spec's exact state (``spec.state_key()``): the
+        searches revisit states constantly (every one starts from the
+        all-max spec, Tabu moves are undone, SLP asks about one spec
+        more than once), and the value is a pure function of (model,
+        state).  The key ignores the slot map because it is a
+        deterministic function of the program, and specs must belong to
+        this model's program anyway.
+        """
         self.eval_count += 1
+        key = spec.state_key()
+        found = self._memo.get(key)
+        if found is None:
+            self.miss_count += 1
+            found = self._evaluate(spec)
+            if len(self._memo) >= _MEMO_CAP:
+                # Unlocked on purpose: a job thread racing this clear can
+                # only evaluate one state twice, never read a wrong value.
+                self._memo.clear()
+            self._memo[key] = found
+        return found
+
+    def _evaluate(self, spec: FixedPointSpec) -> float:
+        """The closed-form noise power (the uncached :meth:`noise_power`)."""
         t = self._tables
         fwl = spec.fwl_vector()
         iwl = spec.iwl_vector()

@@ -237,6 +237,16 @@ class FixedPointSpec:
         """(n_ops, 2) consumption word lengths (``NO_NARROW`` = none)."""
         return self._edge_wl.astype(np.int32)
 
+    def state_key(self) -> bytes:
+        """The exact format state as raw bytes, for memo keys.
+
+        The concatenated buffers of word lengths, integer word lengths
+        and edge word lengths: equal keys mean equal states of one slot
+        map (the three buffers have fixed sizes per program), and no
+        hashing is involved, so two distinct states never collide.
+        """
+        return self._wl.tobytes() + self._iwl.tobytes() + self._edge_wl.tobytes()
+
     # ------------------------------------------------------------------
     def clone(self) -> "FixedPointSpec":
         """Independent deep copy (journal not carried over)."""

@@ -1,7 +1,7 @@
 """Superword-level parallelism extraction."""
 
 from repro.slp.accuracy_aware import set_group_wl, slp_round_accuracy_aware
-from repro.slp.benefit import BenefitEstimator
+from repro.slp.benefit import BenefitEstimator, BenefitPool
 from repro.slp.candidates import (
     Candidate,
     PackItem,
@@ -25,6 +25,7 @@ from repro.slp.groups import GroupSet, SIMDGroup, memory_lane_stride
 
 __all__ = [
     "BenefitEstimator",
+    "BenefitPool",
     "Candidate",
     "GroupSet",
     "PackItem",

@@ -25,7 +25,7 @@ from repro.ir.optypes import OpKind
 from repro.ir.program import Program
 from repro.slp.benefit import BenefitEstimator
 from repro.slp.candidates import Candidate, PackItem, extract_candidates
-from repro.slp.conflicts import structural_conflict
+from repro.slp.conflicts import conflict_matrix
 from repro.slp.extraction import SelectionStats, select_groups
 from repro.targets.model import TargetModel
 
@@ -92,25 +92,24 @@ def slp_round_accuracy_aware(
     candidates = valid
 
     # --- Conflicts Detection ------------------------------------------
-    conflicts: set[frozenset[int]] = set()
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            if structural_conflict(candidates[i], candidates[j], deps):
-                conflicts.add(frozenset((i, j)))
-                if stats is not None:
-                    stats.structural_conflicts += 1
-                continue
-            if not accuracy_conflicts:
-                continue
-            token = spec.save()
-            set_group_wl(spec, program, candidates[i].lanes, candidates[i].wl)
-            set_group_wl(spec, program, candidates[j].lanes, candidates[j].wl)
-            violates = model.violates(spec, constraint_db)
-            spec.revert(token)
-            if violates:
-                conflicts.add(frozenset((i, j)))
-                if stats is not None:
-                    stats.accuracy_conflicts += 1
+    conflicts = conflict_matrix(candidates, deps)
+    if stats is not None:
+        stats.structural_conflicts += len(conflicts)
+    if accuracy_conflicts:
+        for i in range(len(candidates)):
+            for j in range(i + 1, len(candidates)):
+                pair = frozenset((i, j))
+                if pair in conflicts:  # structural: no accuracy check
+                    continue
+                token = spec.save()
+                set_group_wl(spec, program, candidates[i].lanes, candidates[i].wl)
+                set_group_wl(spec, program, candidates[j].lanes, candidates[j].wl)
+                violates = model.violates(spec, constraint_db)
+                spec.revert(token)
+                if violates:
+                    conflicts.add(pair)
+                    if stats is not None:
+                        stats.accuracy_conflicts += 1
 
     # --- SIMD Groups Selection (SETMAXWL applied permanently) ----------
     def on_select(candidate: Candidate) -> None:

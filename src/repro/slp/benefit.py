@@ -27,12 +27,33 @@ from repro.ir.program import Program
 from repro.slp.candidates import Candidate, PackItem
 from repro.slp.groups import memory_lane_stride
 
-__all__ = ["BenefitEstimator"]
+__all__ = ["BenefitEstimator", "BenefitPool"]
 
 #: Relative reuse credit of a match against an already-formed item
 #: versus a still-tentative candidate.
 _ITEM_WEIGHT = 1.0
 _CANDIDATE_WEIGHT = 0.75
+
+
+@dataclass(frozen=True)
+class BenefitPool:
+    """What every score of one selection round reads, built once.
+
+    ``credit`` maps a lane tuple to the summed reuse credit of the items
+    (1.0 each) and candidates (0.75 each) consuming it lane-exactly as
+    an operand, one credit per matching operand position.
+
+    Including the scored candidate's own lanes in ``candidates`` and
+    ``credit`` changes no score: an op is never its own operand, so a
+    candidate never consumes its own lanes, and its operand tuples are
+    longer than the half-vectors :meth:`BenefitEstimator._broken_half_reuse`
+    looks up.  The credits are sums of 1.0 and 0.75, exact in binary
+    floating point, so their order does not matter either.
+    """
+
+    items: set[PackItem]
+    candidates: set[tuple[int, ...]]
+    credit: dict[tuple[int, ...], float]
 
 
 @dataclass
@@ -54,25 +75,46 @@ class BenefitEstimator:
                 self._feeds_var[op.operands[0]] = op.var  # type: ignore[assignment]
 
     # ------------------------------------------------------------------
+    def pool(
+        self, candidates: list[Candidate], items: list[PackItem]
+    ) -> BenefitPool:
+        """The reuse context of one selection round (see :class:`BenefitPool`)."""
+        item_tuples = set(items)
+        cand_tuples = {c.lanes for c in candidates}
+        credit: dict[tuple[int, ...], float] = {}
+        for consumers, weight in (
+            (item_tuples, _ITEM_WEIGHT),
+            (cand_tuples, _CANDIDATE_WEIGHT),
+        ):
+            for other in consumers:
+                arity = len(self.program.op(other[0]).operands)
+                for pos in range(arity):
+                    producers = tuple(
+                        self.program.op(o).operands[pos] for o in other
+                    )
+                    credit[producers] = credit.get(producers, 0.0) + weight
+        return BenefitPool(item_tuples, cand_tuples, credit)
+
     def benefit(
         self,
         candidate: Candidate,
         candidates: list[Candidate],
         items: list[PackItem],
+        pool: BenefitPool | None = None,
     ) -> float:
-        """Reuse-over-cost score of ``candidate`` in the current state."""
+        """Reuse-over-cost score of ``candidate`` in the current state.
+
+        ``pool`` is :meth:`pool` of ``(candidates, items)``, prebuilt by
+        a caller scoring many candidates against one state; without it
+        the pool is built here.
+        """
+        if pool is None:
+            pool = self.pool(candidates, items)
         lanes = candidate.lanes
         n = candidate.size
         reuse = 0.0
         pack_cost = 0.0
         unpack_cost = 0.0
-
-        # Tuple equality implies size equality, so one pool of each
-        # suffices for full-lane, half-lane and operand matching alike.
-        lane_tuples = set(items)
-        cand_tuples = {
-            c.lanes for c in candidates if c is not candidate
-        }
 
         if candidate.kind in (OpKind.LOAD, OpKind.STORE):
             if candidate.kind is OpKind.LOAD and all(
@@ -94,14 +136,12 @@ class BenefitEstimator:
                 producers = tuple(
                     self.program.op(opid).operands[pos] for opid in lanes
                 )
-                reuse_gain, cost = self._operand_cost(
-                    lanes, producers, lane_tuples, cand_tuples
-                )
+                reuse_gain, cost = self._operand_cost(lanes, producers, pool)
                 reuse += reuse_gain
                 pack_cost += cost
 
         if candidate.kind is not OpKind.STORE:
-            r_gain, u_cost = self._result_cost(lanes, lane_tuples, cand_tuples)
+            r_gain, u_cost = self._result_cost(lanes, pool)
             reuse += r_gain
             unpack_cost += u_cost
 
@@ -113,14 +153,13 @@ class BenefitEstimator:
         self,
         lanes: tuple[int, ...],
         producers: tuple[int, ...],
-        lane_tuples: set[PackItem],
-        cand_tuples: set[tuple[int, ...]],
+        pool: BenefitPool,
     ) -> tuple[float, float]:
         """(reuse gained, pack cost) of one vector operand."""
         n = len(lanes)
-        if producers in lane_tuples:
+        if producers in pool.items:
             return _ITEM_WEIGHT, 0.0
-        if producers in cand_tuples:
+        if producers in pool.candidates:
             supply = [self.program.op(p) for p in producers]
             if all(op.kind is OpKind.LOAD for op in supply):
                 stride = memory_lane_stride(self.program, producers)
@@ -144,16 +183,16 @@ class BenefitEstimator:
             return 0.0, float(n - 1)
         if self._is_loop_carried_accumulator(lanes, producers):
             return _ITEM_WEIGHT, 0.0
-        if self._single_item_source(producers, lane_tuples):
+        if self._single_item_source(producers, pool.items):
             return 0.25, 1.0  # one permute/lane-select op
         return 0.0, float(n - 1)
 
     def _single_item_source(
-        self, producers: tuple[int, ...], lane_tuples: set[PackItem]
+        self, producers: tuple[int, ...], items: set[PackItem]
     ) -> bool:
         """All producers are lanes of one existing wider item."""
         produced = set(producers)
-        for item in lane_tuples:
+        for item in items:
             if len(item) > len(producers) and produced <= set(item):
                 return True
         return False
@@ -176,10 +215,7 @@ class BenefitEstimator:
         return True
 
     def _result_cost(
-        self,
-        lanes: tuple[int, ...],
-        lane_tuples: set[PackItem],
-        cand_tuples: set[tuple[int, ...]],
+        self, lanes: tuple[int, ...], pool: BenefitPool
     ) -> tuple[float, float]:
         """(reuse gained, unpack cost) of the candidate's result.
 
@@ -189,7 +225,7 @@ class BenefitEstimator:
         consumer forces an extract per use (capped at the lane count —
         a full unpack).
         """
-        reuse = sum(self._vector_consumers(lanes, lane_tuples, cand_tuples))
+        reuse = pool.credit.get(lanes, 0.0)
         scalar_uses = 0
         for lane in lanes:
             for consumer, _pos in self._consumers.get(lane, ()):
@@ -207,47 +243,20 @@ class BenefitEstimator:
             # lane-exactly breaks working superword reuse: consumers
             # would have to extract their lanes back out.  Charge the
             # repacking this forces on them.
-            unpack += self._broken_half_reuse(lanes, lane_tuples, cand_tuples)
+            unpack += self._broken_half_reuse(lanes, pool)
         return reuse, unpack
 
     def _broken_half_reuse(
-        self,
-        lanes: tuple[int, ...],
-        lane_tuples: set[PackItem],
-        cand_tuples: set[tuple[int, ...]],
+        self, lanes: tuple[int, ...], pool: BenefitPool
     ) -> float:
         if len(lanes) < 4:
             return 0.0
         half = len(lanes) // 2
         penalty = 0.0
         for part in (lanes[:half], lanes[half:]):
-            if self._vector_consumers(part, lane_tuples, cand_tuples):
+            if part in pool.credit:
                 penalty += float(half)
         return penalty
-
-    def _vector_consumers(
-        self,
-        lanes: tuple[int, ...],
-        lane_tuples: set[PackItem],
-        cand_tuples: set[tuple[int, ...]],
-    ) -> list[float]:
-        """Reuse credits from items/candidates consuming ``lanes``."""
-        credits: list[float] = []
-        for pool, weight in (
-            (lane_tuples, _ITEM_WEIGHT),
-            (cand_tuples, _CANDIDATE_WEIGHT),
-        ):
-            for other in pool:
-                if other == lanes:
-                    continue
-                arity = len(self.program.op(other[0]).operands)
-                for pos in range(arity):
-                    producers = tuple(
-                        self.program.op(o).operands[pos] for o in other
-                    )
-                    if producers == lanes:
-                        credits.append(weight)
-        return credits
 
     def _reads_var_somewhere(self, lanes: tuple[int, ...], var: str | None) -> bool:
         if var is None:

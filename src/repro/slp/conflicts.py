@@ -55,10 +55,23 @@ def structural_conflict(
 def conflict_matrix(
     candidates: list[Candidate], deps: DependenceGraph
 ) -> set[frozenset[int]]:
-    """All structurally conflicting index pairs among ``candidates``."""
+    """All structurally conflicting index pairs among ``candidates``.
+
+    Set-based twin of :func:`structural_conflict`: each candidate's
+    lanes and the descendants of its lanes are built once, so a pair
+    costs a few set intersections instead of a lanes × lanes scan.
+    """
+    lanes = [frozenset(c.lanes) for c in candidates]
+    reach = [
+        frozenset().union(*(deps.descendants(op) for op in c.lanes))
+        for c in candidates
+    ]
     conflicts: set[frozenset[int]] = set()
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
-            if structural_conflict(candidates[i], candidates[j], deps):
+            if not lanes[i].isdisjoint(lanes[j]) or (
+                not reach[i].isdisjoint(lanes[j])
+                and not reach[j].isdisjoint(lanes[i])
+            ):
                 conflicts.add(frozenset((i, j)))
     return conflicts

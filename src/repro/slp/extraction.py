@@ -89,10 +89,11 @@ def select_groups(
     selected: list[Candidate] = []
     while live:
         live_candidates = [candidates[i] for i in live]
+        pool = estimator.pool(live_candidates, items)
         scored = []
         for index in live:
             benefit = estimator.benefit(
-                candidates[index], live_candidates, items
+                candidates[index], live_candidates, items, pool
             )
             if stats is not None:
                 stats.benefit_evaluations += 1

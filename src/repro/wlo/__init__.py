@@ -5,7 +5,7 @@ from repro.wlo.continuation import (
     apply_warm_start,
     clear_continuations,
 )
-from repro.wlo.cost import wl_relative_cost
+from repro.wlo.cost import WlCostTable, wl_relative_cost
 from repro.wlo.greedy import GreedyResult, max_minus_one, min_plus_one
 from repro.wlo.pareto import (
     FrontierPoint,
@@ -37,6 +37,7 @@ __all__ = [
     "ScalingStats",
     "TabuConfig",
     "TabuResult",
+    "WlCostTable",
     "WloSlpOutcome",
     "apply_warm_start",
     "available_wlo_engines",

@@ -12,12 +12,14 @@ it faithfully because the WLO-First baseline needs it.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.fixedpoint.spec import FixedPointSpec
 from repro.ir.optypes import OpKind
 from repro.ir.program import Program
 from repro.targets.model import TargetModel
 
-__all__ = ["wl_relative_cost"]
+__all__ = ["WlCostTable", "wl_relative_cost"]
 
 #: Op kinds that translate into machine instructions (register moves
 #: and constants do not).
@@ -27,24 +29,50 @@ _COSTING_KINDS = frozenset({
 })
 
 
+class WlCostTable:
+    """The WL-relative cost model of one (program, target), built once.
+
+    Each costing operation contributes ``executions * wl/datapath``: at
+    32 bits the full op, at 16 bits half (assuming perfect 2x16
+    SIMDization), at 8 bits a quarter.  Word lengths outside the
+    supported set are charged at the next wider supported width.
+
+    The table holds the costing op ids in block order, their block
+    weights and the effective relative cost per word length, so a
+    search pricing thousands of moves walks the program once.
+    :meth:`cost` adds the terms in that fixed order, so it returns the
+    same float as a walk over the blocks.
+    """
+
+    def __init__(self, program: Program, target: TargetModel) -> None:
+        supported = sorted(target.supported_wls)
+        costing = [
+            (op.opid, float(block.executions))
+            for block in program.blocks.values()
+            for op in block.ops
+            if op.kind in _COSTING_KINDS
+        ]
+        self._opids = np.array([opid for opid, _ in costing], dtype=np.int64)
+        self._weights = [weight for _, weight in costing]
+        #: Relative cost by word length; a word length wider than every
+        #: supported width is charged at the widest (the last entry).
+        self._relative = [
+            next(w for w in supported if w >= wl) / target.scalar_wl
+            for wl in range(supported[-1] + 1)
+        ]
+
+    def cost(self, spec: FixedPointSpec) -> float:
+        """Execution-time estimate of ``spec`` under the WL-relative model."""
+        relative = self._relative
+        wls = np.minimum(spec.wl_vector()[self._opids], len(relative) - 1)
+        total = 0.0
+        for weight, wl in zip(self._weights, wls.tolist()):
+            total += weight * relative[wl]
+        return total
+
+
 def wl_relative_cost(
     program: Program, spec: FixedPointSpec, target: TargetModel
 ) -> float:
-    """Execution-time estimate under the optimistic WL-relative model.
-
-    Each costing operation contributes ``executions * wl/datapath``:
-    at 32 bits the full op, at 16 bits half (assuming perfect 2x16
-    SIMDization), at 8 bits a quarter.  Word lengths outside the
-    supported set are charged at the next wider supported width.
-    """
-    supported = sorted(target.supported_wls)
-    total = 0.0
-    for block in program.blocks.values():
-        weight = float(block.executions)
-        for op in block.ops:
-            if op.kind not in _COSTING_KINDS:
-                continue
-            wl = spec.wl(op.opid)
-            effective = next((w for w in supported if w >= wl), supported[-1])
-            total += weight * (effective / target.scalar_wl)
-    return total
+    """One-shot :meth:`WlCostTable.cost`; searches build the table once."""
+    return WlCostTable(program, target).cost(spec)

@@ -21,7 +21,7 @@ from repro.fixedpoint.spec import FixedPointSpec
 from repro.ir.program import Program
 from repro.targets.model import TargetModel
 from repro.wlo.continuation import apply_warm_start
-from repro.wlo.cost import wl_relative_cost
+from repro.wlo.cost import WlCostTable, wl_relative_cost
 
 __all__ = ["GreedyResult", "max_minus_one", "min_plus_one"]
 
@@ -72,6 +72,7 @@ def max_minus_one(
             warm = True
         else:
             spec.revert(token)
+    costs = WlCostTable(program, target)
     moves = 0
     evaluations = 0
     while True:
@@ -85,7 +86,7 @@ def max_minus_one(
             spec.set_wl(root, wl)
             evaluations += 1
             if not model.violates(spec, constraint_db):
-                cost = wl_relative_cost(program, spec, target)
+                cost = costs.cost(spec)
                 key = (cost, root, wl)
                 if best is None or key < best:
                     best = key
@@ -95,9 +96,7 @@ def max_minus_one(
         _cost, root, wl = best
         spec.set_wl(root, wl)
         moves += 1
-    return GreedyResult(
-        wl_relative_cost(program, spec, target), moves, evaluations, warm
-    )
+    return GreedyResult(costs.cost(spec), moves, evaluations, warm)
 
 
 def min_plus_one(

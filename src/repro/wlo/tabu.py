@@ -21,7 +21,7 @@ from repro.fixedpoint.spec import FixedPointSpec
 from repro.ir.program import Program
 from repro.targets.model import TargetModel
 from repro.wlo.continuation import apply_warm_start
-from repro.wlo.cost import wl_relative_cost
+from repro.wlo.cost import WlCostTable
 
 __all__ = ["TabuConfig", "TabuResult", "tabu_wlo"]
 
@@ -118,7 +118,8 @@ def tabu_wlo(
     def snapshot() -> dict[int, int]:
         return {root: spec.wl(root) for root in roots}
 
-    best_cost = wl_relative_cost(program, spec, target)
+    costs = WlCostTable(program, target)
+    best_cost = costs.cost(spec)
     best = snapshot()
     tabu_until: dict[int, int] = {}
     evaluations = 0
@@ -135,7 +136,7 @@ def tabu_wlo(
                 spec.set_wl(root, wl)
                 evaluations += 1
                 feasible = not model.violates(spec, constraint_db)
-                cost = wl_relative_cost(program, spec, target) if feasible else None
+                cost = costs.cost(spec) if feasible else None
                 spec.revert(token)
                 if cost is None:
                     continue

@@ -130,6 +130,135 @@ class TestModelProperties:
         assert fir_context.model.eval_count == before + 1
 
 
+def _fresh_model(context):
+    from repro.accuracy import AccuracyModel
+
+    return AccuracyModel(context.program, context.slotmap, context.model.gains)
+
+
+def _random_specs(context, count, seed):
+    """``count`` distinct-ish specs: random WLs, binary points, edges."""
+    from repro.ir import OpKind
+
+    rng = np.random.default_rng(seed)
+    roots = context.slotmap.roots
+    muls = [o.opid for o in context.program.all_ops() if o.kind is OpKind.MUL]
+    specs = []
+    for _ in range(count):
+        spec = _uniform(context, 32)
+        for root in roots:
+            spec.set_wl(root, int(rng.choice([8, 12, 16, 24, 32])))
+        for opid in muls[: int(rng.integers(0, len(muls) + 1))]:
+            spec.set_edge_wl(opid, int(rng.integers(0, 2)), 16)
+        specs.append(spec)
+    return specs
+
+
+class TestNoiseMemo:
+    """The state-keyed memo returns exactly what the closed form does."""
+
+    def test_counts_hits_and_misses(self, fir_context):
+        model = _fresh_model(fir_context)
+        spec = _uniform(fir_context, 16)
+        first = model.noise_power(spec)
+        assert model.noise_power(spec) == first
+        assert (model.eval_count, model.miss_count) == (2, 1)
+
+    def test_edge_change_alone_misses(self, fir_context):
+        from repro.ir import OpKind
+
+        model = _fresh_model(fir_context)
+        spec = _uniform(fir_context, 32)
+        base = model.noise_power(spec)
+        mul = next(
+            o for o in fir_context.program.all_ops() if o.kind is OpKind.MUL
+        )
+        spec.set_edge_wl(mul.opid, 0, 8)
+        narrowed = model.noise_power(spec)
+        assert model.miss_count == 2
+        assert narrowed > base
+        assert narrowed == _fresh_model(fir_context).noise_power(spec)
+
+    def test_random_walk_matches_fresh_models(self, fir_context):
+        from repro.ir import OpKind
+
+        rng = np.random.default_rng(2017)
+        model = _fresh_model(fir_context)
+        spec = _uniform(fir_context, 32)
+        roots = fir_context.slotmap.roots
+        muls = [
+            o.opid for o in fir_context.program.all_ops() if o.kind is OpKind.MUL
+        ]
+        tokens = [spec.save()]
+        for _ in range(120):
+            move = rng.integers(0, 4)
+            root = int(rng.choice(roots))
+            if move == 0:
+                spec.set_wl(root, int(rng.choice([8, 12, 16, 24, 32])))
+            elif move == 1:
+                spec.set_fwl(root, spec.wl(root) - int(rng.integers(1, 6)))
+            elif move == 2:
+                spec.set_edge_wl(
+                    int(rng.choice(muls)), int(rng.integers(0, 2)),
+                    int(rng.choice([8, 16, 127])),
+                )
+            else:
+                spec.revert(tokens[int(rng.integers(0, len(tokens)))])
+                del tokens[1:]
+            tokens.append(spec.save())
+            expected = _fresh_model(fir_context).noise_power(spec)
+            assert model.noise_power(spec) == expected
+        assert 0 < model.miss_count < model.eval_count  # the walk revisits
+
+    def test_overfill_stays_within_cap(self, fir_context, monkeypatch):
+        from repro.accuracy import analytical
+
+        monkeypatch.setattr(analytical, "_MEMO_CAP", 8)
+        model = _fresh_model(fir_context)
+        specs = _random_specs(fir_context, 30, seed=5)
+        for spec in specs:
+            model.noise_power(spec)
+            assert len(model._memo) <= 8
+        reference = _fresh_model(fir_context)
+        for spec in specs:
+            assert model.noise_power(spec) == reference.noise_power(spec)
+
+    def test_threads_share_one_model(self, fir_context, monkeypatch):
+        """Concurrent job threads (``repro serve``) share one model."""
+        import sys
+        import threading
+
+        from repro.accuracy import analytical
+
+        specs = _random_specs(fir_context, 40, seed=11)
+        expected = [_fresh_model(fir_context).noise_power(s) for s in specs]
+        # A small cap makes the threads race the unlocked clear too.
+        monkeypatch.setattr(analytical, "_MEMO_CAP", 16)
+        shared = _fresh_model(fir_context)
+        results: dict[int, list[float]] = {}
+
+        def work(worker: int) -> None:
+            order = np.random.default_rng(worker).permutation(len(specs))
+            got = [0.0] * len(specs)
+            for _ in range(5):
+                for index in order:
+                    got[index] = shared.noise_power(specs[index])
+            results[worker] = got
+
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results[w] for w in range(4)] == [expected] * 4
+
+
 class TestSites:
     def test_fir_site_inventory(self, small_fir):
         slotmap = SlotMap(small_fir)

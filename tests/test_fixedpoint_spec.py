@@ -172,6 +172,30 @@ class TestConsumptionFwl:
         assert spec.consumption_fwl(mul.opid, 0) == spec.fwl(producer)
 
 
+class TestStateKey:
+    def test_equal_states_equal_keys(self, tiny_program):
+        slotmap = SlotMap(tiny_program)
+        spec = FixedPointSpec(slotmap)
+        spec.set_wl(0, 16)
+        twin = FixedPointSpec(slotmap)
+        twin.set_wl(0, 16)
+        assert spec.state_key() == twin.state_key() == spec.clone().state_key()
+
+    @pytest.mark.parametrize("mutate", [
+        lambda spec: spec.set_wl(0, 16),
+        lambda spec: spec.set_iwl(0, 3),
+        lambda spec: spec.set_edge_wl(1, 1, 16),
+    ], ids=["wl", "iwl", "edge_wl"])
+    def test_each_buffer_changes_the_key(self, tiny_program, mutate):
+        spec = FixedPointSpec(SlotMap(tiny_program))
+        before = spec.state_key()
+        token = spec.save()
+        mutate(spec)
+        assert spec.state_key() != before
+        spec.revert(token)
+        assert spec.state_key() == before
+
+
 class TestClone:
     def test_clone_is_independent(self, tiny_program):
         spec = FixedPointSpec(SlotMap(tiny_program))

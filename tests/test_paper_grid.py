@@ -1,0 +1,51 @@
+"""Golden: every cell of the cold paper grid.
+
+``data/paper_grid_cells.json`` holds the outcome payloads of all 84
+cells of ``SweepRequest(no_cache=True)`` (3 kernels × 4 targets × 7
+constraints), recorded before the search layers were memoized and
+indexed.  Those layers must make the same decisions in the same order,
+so every integer field (cycles, groups, search effort) must match
+exactly.  Noise in dB is compared within 1e-9: the closed-form model
+sums with BLAS ``ddot``, whose last ulp may differ across CPUs.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.api import SweepRequest
+from repro.experiments import ExperimentRunner
+
+GOLDEN = Path(__file__).parent / "data" / "paper_grid_cells.json"
+
+NOISE_FIELDS = ("wlo_first_noise_db", "wlo_slp_noise_db")
+
+
+def _key(outcome: dict) -> tuple:
+    request = outcome["request"]
+    return request["kernel"], request["target"], request["constraint_db"]
+
+
+def test_paper_grid_matches_golden():
+    expected = {_key(o): o for o in json.loads(GOLDEN.read_text())}
+    request = SweepRequest(no_cache=True)
+    report = ExperimentRunner.from_request(request).submit(request)
+    got = {_key(o): o for o in report.outcomes}
+    assert len(expected) == 84
+    assert got.keys() == expected.keys()
+    for key, outcome in got.items():
+        golden = expected[key]
+        assert outcome["request"] == golden["request"], key
+        assert outcome["source"] == golden["source"] == "computed", key
+        cell, golden_cell = outcome["cell"], golden["cell"]
+        assert cell.keys() == golden_cell.keys(), key
+        for name, value in golden_cell.items():
+            if name in NOISE_FIELDS:
+                assert cell[name] == pytest.approx(value, rel=0, abs=1e-9), (
+                    key, name,
+                )
+            else:
+                assert cell[name] == value, (key, name)

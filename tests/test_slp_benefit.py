@@ -3,8 +3,10 @@
 import pytest
 
 from repro.ir import OpKind, build_dependence_graph
+from repro.pipeline import PassCache, run_flow
 from repro.slp import (
     BenefitEstimator,
+    BenefitPool,
     extract_candidates,
     initial_items,
 )
@@ -186,3 +188,85 @@ class TestHalfReuseBreaking:
         # With the mul quad in the pool the load quad gains a vector
         # consumer; without one it pays the broken-half penalty.
         assert score_chained >= score_breaking
+
+
+def _scan_consumers(program, lanes, lane_tuples, cand_tuples):
+    """The per-query scan the benefit index replaced (reference copy)."""
+    credits = []
+    for pool, weight in ((lane_tuples, 1.0), (cand_tuples, 0.75)):
+        for other in pool:
+            if other == lanes:
+                continue
+            arity = len(program.op(other[0]).operands)
+            for pos in range(arity):
+                producers = tuple(program.op(o).operands[pos] for o in other)
+                if producers == lanes:
+                    credits.append(weight)
+    return credits
+
+
+class _ScanCredit(dict):
+    """A ``BenefitPool.credit`` stand-in that rescans on every lookup."""
+
+    def __init__(self, program, lane_tuples, cand_tuples):
+        super().__init__()
+        self._scan = lambda lanes: _scan_consumers(
+            program, lanes, lane_tuples, cand_tuples
+        )
+
+    def get(self, lanes, default=None):
+        credits = self._scan(lanes)
+        return sum(credits) if credits else default
+
+    def __contains__(self, lanes):
+        return bool(self._scan(lanes))
+
+
+def _scan_pool(program, candidate, candidates, items):
+    """The reference state: like the scan, it excludes ``candidate``."""
+    lane_tuples = set(items)
+    cand_tuples = {c.lanes for c in candidates if c is not candidate}
+    return BenefitPool(
+        lane_tuples, cand_tuples,
+        _ScanCredit(program, lane_tuples, cand_tuples),
+    )
+
+
+class TestBenefitIndex:
+    """The per-round pool scores exactly like a per-query scan."""
+
+    @pytest.mark.parametrize("kernel", ["small_fir", "small_iir", "small_conv"])
+    def test_every_selection_round_matches_the_scan(
+        self, kernel, request, monkeypatch
+    ):
+        program = request.getfixturevalue(kernel)
+        indexed = BenefitEstimator.benefit
+        sizes = []
+        mismatches = []
+
+        def checked(self, candidate, candidates, items, pool=None):
+            value = indexed(self, candidate, candidates, items, pool)
+            reference = indexed(
+                self, candidate, candidates, items,
+                _scan_pool(self.program, candidate, candidates, items),
+            )
+            sizes.append(candidate.size)
+            if value != reference:
+                mismatches.append((str(candidate), value, reference))
+            return value
+
+        monkeypatch.setattr(BenefitEstimator, "benefit", checked)
+        cache = PassCache()
+        target = get_target("vex-4")
+        for flow in ("wlo-first", "wlo-slp"):
+            for constraint in (-25.0, -55.0):
+                run_flow(flow, program, target, constraint, cache=cache)
+        assert not mismatches
+        assert max(sizes) >= 4  # the broken-half lookups ran too
+
+    def test_pool_is_optional(self, fir_setup):
+        program, block, items, candidates, estimator = fir_setup
+        pool = estimator.pool(candidates, items)
+        for candidate in candidates:
+            assert estimator.benefit(candidate, candidates, items, pool) == \
+                estimator.benefit(candidate, candidates, items)

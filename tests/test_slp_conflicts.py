@@ -1,5 +1,7 @@
 """Conflict detection tests (common op, cyclic dependency)."""
 
+import pytest
+
 from repro.ir import OpKind, ProgramBuilder, build_dependence_graph
 from repro.slp import (
     Candidate,
@@ -89,3 +91,38 @@ class TestConflictMatrix:
         )
         for pair in conflict_matrix(candidates, deps):
             assert len(pair) == 2
+
+    @pytest.mark.parametrize("kernel", ["small_fir", "small_iir", "small_conv"])
+    def test_matrix_matches_pairwise_on_widened_items(self, kernel, request):
+        """Multi-lane items too: the set form equals the per-pair rule."""
+        from repro.slp import (
+            BenefitEstimator,
+            extract_candidates,
+            initial_items,
+            merge_items,
+            select_groups,
+        )
+        from repro.targets import vex
+
+        program = request.getfixturevalue(kernel)
+        target = vex(4)
+        rounds = 0
+        for block in program.blocks.values():
+            deps = build_dependence_graph(block)
+            estimator = BenefitEstimator(program, block)
+            items = initial_items(block)
+            while True:
+                candidates = extract_candidates(program, items, deps, target)
+                matrix = conflict_matrix(candidates, deps)
+                assert matrix == {
+                    frozenset((i, j))
+                    for i in range(len(candidates))
+                    for j in range(i + 1, len(candidates))
+                    if structural_conflict(candidates[i], candidates[j], deps)
+                }
+                rounds += 1
+                selected = select_groups(candidates, matrix, estimator, items)
+                if not selected:
+                    break
+                items = merge_items(items, selected)
+        assert rounds > len(program.blocks)  # some block widened

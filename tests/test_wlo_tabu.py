@@ -141,3 +141,43 @@ class TestCostModel:
             spec.set_wl(root, 32)
         cost32 = wl_relative_cost(fir_context.program, spec, target)
         assert cost24 == pytest.approx(cost32)
+
+    def test_table_matches_a_block_walk(self, fir_context, iir_context):
+        """The prebuilt table sums exactly what a walk over the blocks
+        sums, in the same order, on random specs — including word
+        lengths wider than every supported width."""
+        import numpy as np
+
+        from repro.ir.optypes import OpKind
+        from repro.wlo import WlCostTable
+
+        costing = {
+            OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.MIN, OpKind.MAX,
+            OpKind.NEG, OpKind.ABS, OpKind.LOAD, OpKind.STORE,
+        }
+
+        def walk(program, spec, target):
+            supported = sorted(target.supported_wls)
+            total = 0.0
+            for block in program.blocks.values():
+                for op in block.ops:
+                    if op.kind in costing:
+                        wl = spec.wl(op.opid)
+                        effective = next(
+                            (w for w in supported if w >= wl), supported[-1]
+                        )
+                        total += block.executions * (effective / target.scalar_wl)
+            return total
+
+        rng = np.random.default_rng(3)
+        for context in (fir_context, iir_context):
+            for name in ("xentium", "vex-4"):
+                target = get_target(name)
+                table = WlCostTable(context.program, target)
+                spec = context.fresh_spec()
+                for _ in range(20):
+                    for root in context.slotmap.roots:
+                        spec.set_wl(root, int(rng.integers(1, 41)))
+                    expected = walk(context.program, spec, target)
+                    assert table.cost(spec) == expected
+                    assert wl_relative_cost(context.program, spec, target) == expected
