@@ -39,6 +39,11 @@ from repro.ir.program import Program
 
 __all__ = ["CoeffEntry", "NoiseGains", "extract_gains"]
 
+#: Trace instances per accumulation step of the per-site gain sums.  It
+#: bounds the step's masks and gathered values to a few hundred KB; a
+#: paper-sized trace has about 60,000 instances per reference output.
+_GAIN_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class CoeffEntry:
@@ -145,18 +150,13 @@ def extract_gains(
     n_coeff = len(coeff_entries)
     cov = np.zeros((n_coeff, n_coeff), dtype=np.float64)
 
-    node_k2: dict[int, float] = {}
-    node_k1: dict[int, float] = {}
-    edge_k2: dict[tuple[int, int], float] = {}
-    edge_k1: dict[tuple[int, int], float] = {}
+    sums = _InstanceGainSums(trace)
     input_k2: dict[str, float] = {}
     input_k1: dict[str, float] = {}
 
     for ref in refs:
         adj = _backpropagate(trace, ref)
-        _accumulate_instance_gains(
-            trace, adj, ref, node_k2, node_k1, edge_k2, edge_k1
-        )
+        sums.add(adj, ref)
         for name, cells in input_cells.items():
             cell_adj = adj[cells]
             input_k2[name] = input_k2.get(name, 0.0) + float(
@@ -171,6 +171,7 @@ def extract_gains(
                 g[idx] = adj[cell[1]]
         cov += np.outer(g, g)
 
+    node_k2, node_k1, edge_k2, edge_k1 = sums.dicts()
     scale = 1.0 / len(refs)
     gains.node_k2 = {k: v * scale for k, v in node_k2.items()}
     gains.node_k1 = {k: v * scale for k, v in node_k1.items()}
@@ -189,36 +190,71 @@ def extract_gains(
     return gains
 
 
-def _accumulate_instance_gains(
-    trace: ExecutionTrace,
-    adj: np.ndarray,
-    ref: int,
-    node_k2: dict[int, float],
-    node_k1: dict[int, float],
-    edge_k2: dict[tuple[int, int], float],
-    edge_k1: dict[tuple[int, int], float],
-) -> None:
-    static = trace.static
-    operands = trace.operands
-    partials = trace.partials
-    first_pseudo = trace.first_pseudo_id
-    for i in range(ref + 1):
-        a = adj[i]
-        if a == 0.0:
-            continue
-        s = static[i]
-        if s < 0 or s >= first_pseudo:
-            continue
-        node_k2[s] = node_k2.get(s, 0.0) + a * a
-        node_k1[s] = node_k1.get(s, 0.0) + a
-        parts = partials[i]
-        if not parts:
-            continue
-        for pos in range(len(parts)):
-            g = a * parts[pos]
-            key = (s, pos)
-            edge_k2[key] = edge_k2.get(key, 0.0) + g * g
-            edge_k1[key] = edge_k1.get(key, 0.0) + g
+class _InstanceGainSums:
+    """Per-site sums of per-instance adjoints over a trace.
+
+    For every executed instance ``i`` of a static op ``s`` with a
+    nonzero adjoint ``a``, node ``s`` gains ``a * a`` (K2) and ``a``
+    (K1), and each operand edge ``(s, pos)`` gains ``g * g`` and ``g``
+    with ``g = a * partials[i][pos]``.  ``np.add.at`` adds unbuffered
+    in index order, so over chunks taken in instance order every key
+    receives the same float additions in the same order as a loop over
+    the instances would make.
+    """
+
+    def __init__(self, trace: ExecutionTrace) -> None:
+        partials = trace.partials
+        n = len(partials)
+        n_static = trace.first_pseudo_id
+        self.arity = max(map(len, partials), default=0)
+        self.static = np.array(trace.static, dtype=np.int32)
+        self.n_partials = np.fromiter(map(len, partials), np.int8, count=n)
+        self.partials = np.zeros((self.arity, n))
+        for pos in range(self.arity):
+            self.partials[pos] = np.fromiter(
+                (p[pos] if len(p) > pos else 0.0 for p in partials),
+                np.float64, count=n,
+            )
+        self.node_k2 = np.zeros(n_static)
+        self.node_k1 = np.zeros(n_static)
+        self.node_seen = np.zeros(n_static, dtype=bool)
+        self.edge_k2 = np.zeros((self.arity, n_static))
+        self.edge_k1 = np.zeros((self.arity, n_static))
+        self.edge_seen = np.zeros((self.arity, n_static), dtype=bool)
+
+    def add(self, adj: np.ndarray, ref: int) -> None:
+        """Add the instances ``0 .. ref`` of one reference's adjoints."""
+        n_static = self.node_seen.size
+        for start in range(0, ref + 1, _GAIN_CHUNK):
+            stop = min(start + _GAIN_CHUNK, ref + 1)
+            a = adj[start:stop]
+            static = self.static[start:stop]
+            keep = (a != 0.0) & (static >= 0) & (static < n_static)
+            a = a[keep]
+            sites = static[keep]
+            np.add.at(self.node_k2, sites, a * a)
+            np.add.at(self.node_k1, sites, a)
+            self.node_seen[sites] = True
+            n_partials = self.n_partials[start:stop][keep]
+            for pos in range(self.arity):
+                has = n_partials > pos
+                g = a[has] * self.partials[pos, start:stop][keep][has]
+                edge_sites = sites[has]
+                np.add.at(self.edge_k2[pos], edge_sites, g * g)
+                np.add.at(self.edge_k1[pos], edge_sites, g)
+                self.edge_seen[pos, edge_sites] = True
+
+    def dicts(self) -> tuple[dict, dict, dict, dict]:
+        """Node K2/K1 and edge K2/K1 sums of every touched key."""
+        nodes = np.flatnonzero(self.node_seen)
+        positions, sites = np.nonzero(self.edge_seen)
+        edges = list(zip(sites.tolist(), positions.tolist()))
+        return (
+            dict(zip(nodes.tolist(), self.node_k2[nodes].tolist())),
+            dict(zip(nodes.tolist(), self.node_k1[nodes].tolist())),
+            dict(zip(edges, self.edge_k2[positions, sites].tolist())),
+            dict(zip(edges, self.edge_k1[positions, sites].tolist())),
+        )
 
 
 def _coherent_static_adjoint(

@@ -16,6 +16,7 @@ ID.Fix's generated noise expression did for the original.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -28,9 +29,11 @@ from repro.utils import power_to_db
 
 __all__ = ["AccuracyModel", "build_accuracy_model"]
 
-#: Most memoized noise states per model.  The paper grid touches at
-#: most ~5,300 distinct states per kernel; at ~0.5 KB of key each this
-#: caps a long-lived model (``repro serve``) near 10 MB.
+#: Most memoized noise states per model, and separately most memoized
+#: trial questions.  The paper grid touches at most ~5,300 distinct
+#: states per kernel; at ~0.5 KB of key each this caps a long-lived
+#: model (``repro serve``) near 10 MB.  Trial questions of one SLP
+#: round share their base-state key, so each costs far less.
 _MEMO_CAP = 1 << 14
 
 
@@ -135,6 +138,10 @@ class AccuracyModel:
         self.include_coeff_error = include_coeff_error
         self.sites = enumerate_sites(program, slotmap)
         self._tables = _pack_sites(self.sites, gains)
+        self._mul_producers = np.array(
+            [program.op(int(opid)).operands for opid in self._tables.mo_op],
+            dtype=np.int64,
+        ).reshape(-1, 2)
         self._coeff_slots = np.array(
             [entry.slot for entry in gains.coeff_entries], dtype=np.int64
         )
@@ -143,10 +150,17 @@ class AccuracyModel:
         )
         self._coeff_cache: dict[tuple, float] = {}
         self._memo: dict[bytes, float] = {}
-        #: Every :meth:`noise_power` call, memo hits included.
+        self._trial_memo: dict[Hashable, float] = {}
+        #: Every accuracy question, counted once: each :meth:`noise_power`
+        #: call (memo hits included) plus each trial question the trial
+        #: memo answered (a trial miss counts through its
+        #: :meth:`noise_power` call).
         self.eval_count = 0
         #: Calls that missed the memo and evaluated the closed form.
         self.miss_count = 0
+        #: :meth:`trial_noise_power` questions, and those its memo answered.
+        self.trial_questions = 0
+        self.trial_hits = 0
 
     # ------------------------------------------------------------------
     def noise_power(self, spec: FixedPointSpec) -> float:
@@ -171,6 +185,38 @@ class AccuracyModel:
                 # only evaluate one state twice, never read a wrong value.
                 self._memo.clear()
             self._memo[key] = found
+        return found
+
+    def trial_noise_power(
+        self,
+        spec: FixedPointSpec,
+        question: Hashable,
+        apply: Callable[[FixedPointSpec], None],
+    ) -> float:
+        """Noise power of ``spec`` after ``apply(spec)``; ``spec`` is kept.
+
+        Memoized on ``question``, which must determine the trial state:
+        callers build it from ``spec.state_key()`` and everything
+        ``apply`` writes, so the answer is a pure function of (model,
+        question) and may be shared like the state memo.  A miss saves
+        the spec, applies the trial, asks :meth:`noise_power` and
+        reverts; a hit does not touch ``spec``.
+        """
+        self.trial_questions += 1
+        found = self._trial_memo.get(question)
+        if found is not None:
+            self.trial_hits += 1
+            self.eval_count += 1
+            return found
+        token = spec.save()
+        apply(spec)
+        found = self.noise_power(spec)
+        spec.revert(token)
+        if len(self._trial_memo) >= _MEMO_CAP:
+            # Unlocked, as for the state memo: a racing thread can only
+            # answer one question twice.
+            self._trial_memo.clear()
+        self._trial_memo[question] = found
         return found
 
     def _evaluate(self, spec: FixedPointSpec) -> float:
@@ -238,20 +284,6 @@ class AccuracyModel:
             )
             total = total + f_cons
         return total
-
-    @property
-    def _mul_producers(self) -> np.ndarray:
-        cached = getattr(self, "_mul_producers_cache", None)
-        if cached is None:
-            cached = np.array(
-                [
-                    self.program.op(int(opid)).operands
-                    for opid in self._tables.mo_op
-                ],
-                dtype=np.int64,
-            ).reshape(-1, 2)
-            self._mul_producers_cache = cached
-        return cached
 
     def _coeff_power(self, fwl: np.ndarray) -> float:
         key = tuple(int(f) for f in fwl[self._coeff_slots])

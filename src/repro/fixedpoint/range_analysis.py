@@ -111,24 +111,37 @@ def simulation_ranges(
     """
     slotmap = slotmap or SlotMap(program)
     rng = np.random.default_rng(seed)
-    ranges: dict[int, Interval] = {}
+    # Running [min, max] per op, in first-observation order; folded into
+    # per-root intervals after the run (min and max are exact, so the
+    # fold equals joining at every observation).
+    extremes: dict[int, list[float]] = {}
+    lowest = np.minimum.reduce
+    highest = np.maximum.reduce
 
     def observe(opid: int, values) -> None:
         # ``values`` is one scalar (scalar backend) or the whole value
         # array of the op (batch backend); only min/max matter.
-        vmin = float(np.min(values))
-        vmax = float(np.max(values))
-        root = slotmap.root_of(opid)
-        found = ranges.get(root)
+        vmin = float(lowest(values, axis=None))
+        vmax = float(highest(values, axis=None))
+        found = extremes.get(opid)
         if found is None:
-            ranges[root] = Interval(vmin, vmax)
-        elif not (found.contains(vmin) and found.contains(vmax)):
-            ranges[root] = found.join(Interval(vmin, vmax))
+            extremes[opid] = [vmin, vmax]
+        else:
+            if vmin < found[0]:
+                found[0] = vmin
+            if vmax > found[1]:
+                found[1] = vmax
 
     get_backend(backend).run_float(
         program, _stimulus_set(program, n_random, rng), range_probe=observe
     )
 
+    ranges: dict[int, Interval] = {}
+    for opid, (vmin, vmax) in extremes.items():
+        root = slotmap.root_of(opid)
+        found = ranges.get(root)
+        observed = Interval(vmin, vmax)
+        ranges[root] = observed if found is None else found.join(observed)
     _seed_symbol_ranges(program, slotmap, ranges)
     if margin:
         ranges = {r: iv.widen_relative(margin) for r, iv in ranges.items()}

@@ -25,7 +25,7 @@ checkpoint semantics used throughout Fig. 1 (``SPEC.save g1`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
 
 import numpy as np
 
@@ -78,10 +78,11 @@ class SlotMap:
                 if op.kind is OpKind.WRITEVAR:
                     union(op.operands[0], self.symbol_slot[op.var])  # type: ignore[index]
 
-        self.root = np.array([find(i) for i in range(self.n_slots)], dtype=np.int32)
+        self._roots = [find(i) for i in range(self.n_slots)]
+        self.root = np.array(self._roots, dtype=np.int32)
         members: dict[int, list[int]] = {}
-        for slot in range(self.n_slots):
-            members.setdefault(int(self.root[slot]), []).append(slot)
+        for slot, root in enumerate(self._roots):
+            members.setdefault(root, []).append(slot)
         self.group_members: dict[int, tuple[int, ...]] = {
             r: tuple(m) for r, m in members.items()
         }
@@ -89,7 +90,7 @@ class SlotMap:
     # ------------------------------------------------------------------
     def root_of(self, slot: int) -> int:
         """Tie-group root of ``slot``."""
-        return int(self.root[slot])
+        return self._roots[slot]
 
     def slot_of_symbol(self, name: str) -> int:
         try:
@@ -109,38 +110,42 @@ class SlotMap:
         return sorted(self.group_members)
 
 
-@dataclass
-class _JournalEntry:
-    kind: int  # 0 = wl, 1 = iwl, 2 = edge_wl
-    i: int
-    j: int
-    old: int
-
-
 class FixedPointSpec:
-    """Journaled per-slot fixed-point formats plus MUL edge narrowing."""
+    """Journaled per-slot fixed-point formats plus MUL edge narrowing.
+
+    The whole state is one flat int16 buffer: the word lengths of all
+    slots, then their integer word lengths, then the ``(n_ops, 2)``
+    edge word lengths in row-major order.  Only tie-group roots are
+    ever written, so the other slots keep their initial values.  A
+    journal entry is ``(buffer index, old value)``.
+    """
 
     def __init__(self, slotmap: SlotMap, max_wl: int = 32) -> None:
         self.slotmap = slotmap
         self.max_wl = max_wl
         n = slotmap.n_slots
-        self._wl = np.full(n, max_wl, dtype=np.int16)
-        self._iwl = np.ones(n, dtype=np.int16)
-        self._edge_wl = np.full((slotmap.n_ops, 2), NO_NARROW, dtype=np.int16)
-        self._journal: list[_JournalEntry] = []
+        self._state = (
+            array("h", [max_wl]) * n
+            + array("h", [1]) * n
+            + array("h", [NO_NARROW]) * (2 * slotmap.n_ops)
+        )
+        self._iwl_base = n
+        self._edge_base = 2 * n
+        self._root = slotmap._roots
+        self._journal: list[tuple[int, int]] = []
 
     # ------------------------------------------------------------------
     # Scalar accessors (always resolved through the tie-group root)
     # ------------------------------------------------------------------
     def wl(self, slot: int) -> int:
-        return int(self._wl[self.slotmap.root_of(slot)])
+        return self._state[self._root[slot]]
 
     def iwl(self, slot: int) -> int:
-        return int(self._iwl[self.slotmap.root_of(slot)])
+        return self._state[self._iwl_base + self._root[slot]]
 
     def fwl(self, slot: int) -> int:
-        root = self.slotmap.root_of(slot)
-        return int(self._wl[root]) - int(self._iwl[root])
+        root = self._root[slot]
+        return self._state[root] - self._state[self._iwl_base + root]
 
     def qformat(self, slot: int) -> QFormat:
         return QFormat(self.iwl(slot), self.fwl(slot))
@@ -148,18 +153,10 @@ class FixedPointSpec:
     def set_wl(self, slot: int, value: int) -> None:
         if value < 1:
             raise FixedPointError(f"word length must be >= 1, got {value}")
-        root = self.slotmap.root_of(slot)
-        old = int(self._wl[root])
-        if old != value:
-            self._journal.append(_JournalEntry(0, root, 0, old))
-            self._wl[root] = value
+        self._write(self._root[slot], value)
 
     def set_iwl(self, slot: int, value: int) -> None:
-        root = self.slotmap.root_of(slot)
-        old = int(self._iwl[root])
-        if old != value:
-            self._journal.append(_JournalEntry(1, root, 0, old))
-            self._iwl[root] = value
+        self._write(self._iwl_base + self._root[slot], value)
 
     def set_fwl(self, slot: int, value: int) -> None:
         """Move the binary point, keeping the word length constant.
@@ -167,21 +164,22 @@ class FixedPointSpec:
         This is SCALOPTIM's move: reducing ``fwl`` by k increases
         ``iwl`` by k (paper Section III-C).
         """
-        root = self.slotmap.root_of(slot)
-        wl = int(self._wl[root])
-        self.set_iwl(slot, wl - value)
+        self.set_iwl(slot, self.wl(slot) - value)
+
+    def _write(self, index: int, value: int) -> None:
+        old = self._state[index]
+        if old != value:
+            self._journal.append((index, old))
+            self._state[index] = value
 
     # ------------------------------------------------------------------
     # MUL operand-edge consumption word lengths
     # ------------------------------------------------------------------
     def edge_wl(self, opid: int, pos: int) -> int:
-        return int(self._edge_wl[opid, pos])
+        return self._state[self._edge_base + 2 * opid + pos]
 
     def set_edge_wl(self, opid: int, pos: int, value: int) -> None:
-        old = int(self._edge_wl[opid, pos])
-        if old != value:
-            self._journal.append(_JournalEntry(2, opid, pos, old))
-            self._edge_wl[opid, pos] = value
+        self._write(self._edge_base + 2 * opid + pos, value)
 
     def consumption_fwl(self, opid: int, pos: int) -> int:
         """Fractional bits at which op ``opid`` consumes operand ``pos``.
@@ -206,54 +204,58 @@ class FixedPointSpec:
 
     def revert(self, token: int) -> None:
         """Undo all mutations recorded after ``token``."""
-        if token < 0 or token > len(self._journal):
+        journal = self._journal
+        if token < 0 or token > len(journal):
             raise FixedPointError(f"bad journal token {token}")
-        while len(self._journal) > token:
-            entry = self._journal.pop()
-            if entry.kind == 0:
-                self._wl[entry.i] = entry.old
-            elif entry.kind == 1:
-                self._iwl[entry.i] = entry.old
-            else:
-                self._edge_wl[entry.i, entry.j] = entry.old
+        state = self._state
+        while len(journal) > token:
+            index, old = journal.pop()
+            state[index] = old
 
     # ------------------------------------------------------------------
     # Vectorized views (used by the analytical accuracy evaluator)
     # ------------------------------------------------------------------
+    def _view(self, start: int, count: int) -> np.ndarray:
+        """The int16 buffer entries ``start .. start + count`` as an array
+        view (built per call: nothing keeps a view of the buffer)."""
+        return np.frombuffer(self._state, np.int16, count, 2 * start)
+
     def fwl_vector(self) -> np.ndarray:
         """Per-slot fractional word lengths, root-resolved (int32)."""
+        n = self._iwl_base
         root = self.slotmap.root
-        return (self._wl[root] - self._iwl[root]).astype(np.int32)
+        return (self._view(0, n)[root] - self._view(n, n)[root]).astype(np.int32)
 
     def iwl_vector(self) -> np.ndarray:
         """Per-slot integer word lengths, root-resolved (int32)."""
-        return self._iwl[self.slotmap.root].astype(np.int32)
+        n = self._iwl_base
+        return self._view(n, n)[self.slotmap.root].astype(np.int32)
 
     def wl_vector(self) -> np.ndarray:
         """Per-slot word lengths, root-resolved (int32)."""
-        return self._wl[self.slotmap.root].astype(np.int32)
+        return self._view(0, self._iwl_base)[self.slotmap.root].astype(np.int32)
 
     def edge_wl_matrix(self) -> np.ndarray:
         """(n_ops, 2) consumption word lengths (``NO_NARROW`` = none)."""
-        return self._edge_wl.astype(np.int32)
+        n_ops = self.slotmap.n_ops
+        edges = self._view(self._edge_base, 2 * n_ops).reshape(n_ops, 2)
+        return edges.astype(np.int32)
 
     def state_key(self) -> bytes:
         """The exact format state as raw bytes, for memo keys.
 
-        The concatenated buffers of word lengths, integer word lengths
-        and edge word lengths: equal keys mean equal states of one slot
-        map (the three buffers have fixed sizes per program), and no
-        hashing is involved, so two distinct states never collide.
+        The flat int16 buffer: word lengths, integer word lengths and
+        edge word lengths, concatenated.  Equal keys mean equal states
+        of one slot map (the buffer has a fixed size per program), and
+        no hashing is involved, so two distinct states never collide.
         """
-        return self._wl.tobytes() + self._iwl.tobytes() + self._edge_wl.tobytes()
+        return self._state.tobytes()
 
     # ------------------------------------------------------------------
     def clone(self) -> "FixedPointSpec":
         """Independent deep copy (journal not carried over)."""
         twin = FixedPointSpec(self.slotmap, self.max_wl)
-        twin._wl = self._wl.copy()
-        twin._iwl = self._iwl.copy()
-        twin._edge_wl = self._edge_wl.copy()
+        twin._state = array("h", self._state)
         return twin
 
     def describe(self) -> str:

@@ -12,10 +12,13 @@ The joint algorithm's inner engine.  Differences from plain SLP:
 * *accuracy conflicts* — two candidates that cannot coexist without
   violating the constraint conflict exactly like structural conflicts
   (lines 14-25).
+
+Every check is a trial on the round's spec, asked through the accuracy
+model's trial memo: the 7 constraints of a panel replay the same rounds
+from the same states, so most questions repeat.
 """
 
 from __future__ import annotations
-
 
 from repro.accuracy.analytical import AccuracyModel
 from repro.fixedpoint.spec import FixedPointSpec
@@ -28,6 +31,7 @@ from repro.slp.candidates import Candidate, PackItem, extract_candidates
 from repro.slp.conflicts import conflict_matrix
 from repro.slp.extraction import SelectionStats, select_groups
 from repro.targets.model import TargetModel
+from repro.utils import power_to_db
 
 __all__ = ["set_group_wl", "slp_round_accuracy_aware"]
 
@@ -77,14 +81,26 @@ def slp_round_accuracy_aware(
         stats.rounds += 1
         stats.candidates_seen += len(candidates)
 
+    # A trial's state is a function of the round's base state and the
+    # (lanes, wl) groups applied in order: lane op kinds come from the
+    # model's program, which shares op ids with ``program``.  So the
+    # question (base, group, ...) determines the answer.
+    base = spec.state_key()
+
+    def violates(*groups: tuple[tuple[int, ...], int]) -> bool:
+        """EVALACC on the round's spec with ``groups`` applied."""
+
+        def apply(trial: FixedPointSpec) -> None:
+            for lanes, wl in groups:
+                set_group_wl(trial, program, lanes, wl)
+
+        power = model.trial_noise_power(spec, (base, *groups), apply)
+        return power_to_db(power) > constraint_db
+
     # --- Candidates Extraction: eliminate accuracy-invalid ones -------
     valid: list[Candidate] = []
     for candidate in candidates:
-        token = spec.save()
-        set_group_wl(spec, program, candidate.lanes, candidate.wl)
-        violates = model.violates(spec, constraint_db)
-        spec.revert(token)
-        if violates:
+        if violates((candidate.lanes, candidate.wl)):
             if stats is not None:
                 stats.accuracy_rejections += 1
         else:
@@ -96,17 +112,13 @@ def slp_round_accuracy_aware(
     if stats is not None:
         stats.structural_conflicts += len(conflicts)
     if accuracy_conflicts:
+        groups = [(candidate.lanes, candidate.wl) for candidate in candidates]
         for i in range(len(candidates)):
             for j in range(i + 1, len(candidates)):
                 pair = frozenset((i, j))
                 if pair in conflicts:  # structural: no accuracy check
                     continue
-                token = spec.save()
-                set_group_wl(spec, program, candidates[i].lanes, candidates[i].wl)
-                set_group_wl(spec, program, candidates[j].lanes, candidates[j].wl)
-                violates = model.violates(spec, constraint_db)
-                spec.revert(token)
-                if violates:
+                if violates(groups[i], groups[j]):
                     conflicts.add(pair)
                     if stats is not None:
                         stats.accuracy_conflicts += 1

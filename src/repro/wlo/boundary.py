@@ -21,6 +21,7 @@ from repro.accuracy.analytical import AccuracyModel
 from repro.fixedpoint.spec import FixedPointSpec
 from repro.ir.optypes import ARITHMETIC_KINDS, OpKind
 from repro.ir.program import Program
+from repro.slp.accuracy_aware import set_group_wl
 from repro.targets.model import TargetModel
 
 __all__ = ["harmonize_boundary_wls"]
@@ -86,8 +87,6 @@ def harmonize_boundary_wls(
             if wanted is None or wanted not in target.simd_widths:
                 continue
             token = spec.save()
-            from repro.slp.accuracy_aware import set_group_wl
-
             set_group_wl(spec, program, group.lanes, wanted)
             if model.violates(spec, constraint_db):
                 spec.revert(token)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.flows import AnalysisContext
 from repro.ir import ProgramBuilder, loop_index
-from repro.kernels import conv2d, fir, iir
+from repro.kernels import conv2d, fir, iir, kernel_by_name, kernel_names
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +31,22 @@ def small_iir():
 def small_conv():
     """3x3 convolution over a 18x18 image."""
     return conv2d(height=18, width=18)
+
+
+@pytest.fixture(scope="session")
+def small_kernels():
+    """A small instance of every shipped kernel (``repro kernels``), by
+    name; sizes are reduced, shapes are the paper's."""
+    sizes = {
+        "fir": dict(n_samples=40, n_taps=16),
+        "iir": dict(n_samples=48, order=4),
+        "conv": dict(height=11, width=12),
+        "dot": dict(length=32),
+        "sad": dict(length=32),
+        "scale_offset": dict(length=32),
+    }
+    assert sorted(sizes) == kernel_names()
+    return {name: kernel_by_name(name, **size) for name, size in sizes.items()}
 
 
 @pytest.fixture(scope="session")

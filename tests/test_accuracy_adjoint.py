@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.accuracy import extract_gains
+from repro.accuracy import adjoint, extract_gains
 from repro.errors import AccuracyError
 from repro.fixedpoint import SlotMap
-from repro.ir import OpKind, ProgramBuilder
+from repro.ir import ExecutionTrace, Interpreter, OpKind, ProgramBuilder
+from repro.kernels import kernel_names
 
 
 def _linear_chain():
@@ -108,3 +109,59 @@ class TestErrors:
         program = b.build()
         with pytest.raises(AccuracyError, match="no output"):
             extract_gains(program, SlotMap(program))
+
+
+def _per_instance_gains(program, n_ref_outputs=4, seed=90210):
+    """Node and edge gains summed by a Python loop over every trace
+    instance: the reference the vectorized sums must equal exactly."""
+    rng = np.random.default_rng(seed)
+    trace = ExecutionTrace()
+    Interpreter(program).run(adjoint._random_inputs(program, rng), trace=trace)
+    refs = trace.output_instances[-n_ref_outputs:]
+    node_k2, node_k1, edge_k2, edge_k1 = {}, {}, {}, {}
+    for ref in refs:
+        adj = adjoint._backpropagate(trace, ref)
+        for i in range(ref + 1):
+            a = adj[i]
+            if a == 0.0:
+                continue
+            s = trace.static[i]
+            if s < 0 or s >= trace.first_pseudo_id:
+                continue
+            node_k2[s] = node_k2.get(s, 0.0) + a * a
+            node_k1[s] = node_k1.get(s, 0.0) + a
+            parts = trace.partials[i]
+            for pos in range(len(parts)):
+                g = a * parts[pos]
+                key = (s, pos)
+                edge_k2[key] = edge_k2.get(key, 0.0) + g * g
+                edge_k1[key] = edge_k1.get(key, 0.0) + g
+    scale = 1.0 / len(refs)
+    sums = [
+        {k: v * scale for k, v in d.items()}
+        for d in (node_k2, node_k1, edge_k2, edge_k1)
+    ]
+    for op in program.all_ops():
+        if op.kind is OpKind.CONST:
+            sums[0].pop(op.opid, None)
+            sums[1].pop(op.opid, None)
+    return tuple(sums)
+
+
+class TestVectorizedInstanceSums:
+    """``np.add.at`` over instance chunks makes the loop's additions."""
+
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["default", "chunk7"])
+    @pytest.mark.parametrize("kernel", kernel_names())
+    def test_equals_per_instance_loop(
+        self, small_kernels, kernel, chunk, monkeypatch
+    ):
+        if chunk is not None:  # chunk boundaries inside runs of instances
+            monkeypatch.setattr(adjoint, "_GAIN_CHUNK", chunk)
+        program = small_kernels[kernel]
+        gains = extract_gains(program, SlotMap(program))
+        expected = _per_instance_gains(program)
+        assert expected[0] and expected[2]
+        assert (
+            gains.node_k2, gains.node_k1, gains.edge_k2, gains.edge_k1
+        ) == expected

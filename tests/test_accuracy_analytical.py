@@ -124,16 +124,54 @@ class TestModelProperties:
         assert values == sorted(values, reverse=True)
 
     def test_eval_count_increments(self, fir_context):
+        """Each accuracy question counts once, whichever memo answers."""
+        model = _fresh_model(fir_context)
         spec = _uniform(fir_context, 16)
-        before = fir_context.model.eval_count
-        fir_context.model.noise_power(spec)
-        assert fir_context.model.eval_count == before + 1
+        model.noise_power(spec)
+        assert model.eval_count == 1
+        lanes, wl = _mul_pairs(fir_context)[0], 8
+        question = (spec.state_key(), (lanes, wl))
+        apply = _group_trial(fir_context.program, lanes, wl)
+        model.trial_noise_power(spec, question, apply)  # miss: via noise_power
+        assert model.eval_count == 2
+        model.trial_noise_power(spec, question, apply)  # trial-memo hit
+        assert model.eval_count == 3
+        assert (model.trial_questions, model.trial_hits) == (2, 1)
 
 
 def _fresh_model(context):
     from repro.accuracy import AccuracyModel
 
     return AccuracyModel(context.program, context.slotmap, context.model.gains)
+
+
+def _mul_pairs(context):
+    """Lane tuples of every two multiplies (SLP-shaped groups)."""
+    from itertools import combinations
+
+    from repro.ir import OpKind
+
+    muls = [o.opid for o in context.program.all_ops() if o.kind is OpKind.MUL]
+    return list(combinations(muls, 2))
+
+
+def _group_trial(program, lanes, wl):
+    """The trial a joint SLP round asks about: SETMAXWL of one group."""
+    from repro.slp import set_group_wl
+
+    return lambda spec: set_group_wl(spec, program, lanes, wl)
+
+
+def _fresh_trial(model, spec, groups):
+    """The uncached trial on ``model``: save, narrow, evaluate, revert."""
+    from repro.slp import set_group_wl
+
+    token = spec.save()
+    for lanes, wl in groups:
+        set_group_wl(spec, model.program, lanes, wl)
+    power = model.noise_power(spec)
+    spec.revert(token)
+    return power
 
 
 def _random_specs(context, count, seed):
@@ -224,25 +262,44 @@ class TestNoiseMemo:
             assert model.noise_power(spec) == reference.noise_power(spec)
 
     def test_threads_share_one_model(self, fir_context, monkeypatch):
-        """Concurrent job threads (``repro serve``) share one model."""
+        """Concurrent job threads (``repro serve``) share one model: its
+        state memo and its trial memo."""
         import sys
         import threading
 
         from repro.accuracy import analytical
 
         specs = _random_specs(fir_context, 40, seed=11)
-        expected = [_fresh_model(fir_context).noise_power(s) for s in specs]
-        # A small cap makes the threads race the unlocked clear too.
+        group = (_mul_pairs(fir_context)[0], 8)
+        expected = [
+            (_fresh_model(fir_context).noise_power(s),
+             _fresh_trial(_fresh_model(fir_context), s, [group]))
+            for s in specs
+        ]
+        apply = _group_trial(fir_context.program, *group)
+        # A small cap makes the threads race the unlocked clears too.
         monkeypatch.setattr(analytical, "_MEMO_CAP", 16)
         shared = _fresh_model(fir_context)
-        results: dict[int, list[float]] = {}
+        results: dict[int, list[tuple[float, float]]] = {}
 
         def work(worker: int) -> None:
+            # Trials mutate their spec on a miss, so each job owns its
+            # specs; only the model is shared.
+            own = [spec.clone() for spec in specs]
             order = np.random.default_rng(worker).permutation(len(specs))
-            got = [0.0] * len(specs)
+            got = [(0.0, 0.0)] * len(specs)
             for _ in range(5):
                 for index in order:
-                    got[index] = shared.noise_power(specs[index])
+                    spec = own[index]
+                    got[index] = (
+                        shared.noise_power(spec),
+                        shared.trial_noise_power(
+                            spec, (spec.state_key(), group), apply
+                        ),
+                    )
+            assert [s.state_key() for s in own] == [
+                s.state_key() for s in specs
+            ]
             results[worker] = got
 
         threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
@@ -256,7 +313,65 @@ class TestNoiseMemo:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert [results[w] for w in range(4)] == [expected] * 4
+        assert [results.get(w) for w in range(4)] == [expected] * 4
+
+
+class TestTrialMemo:
+    """The question-keyed trial memo answers what a fresh trial does."""
+
+    @pytest.mark.parametrize("kernel", ["fir", "iir", "conv"])
+    def test_joint_flows_match_fresh_trials(self, request, kernel):
+        from repro.targets import get_target
+        from repro.wlo import wlo_slp_optimize
+
+        context = request.getfixturevalue(f"{kernel}_context")
+        target = get_target("xentium")
+        model = _fresh_model(context)
+        answer = model.trial_noise_power
+        asked = []
+
+        def record(spec, question, apply):
+            power = answer(spec, question, apply)
+            asked.append((spec.clone(), question, apply, power))
+            return power
+
+        model.trial_noise_power = record
+        for constraint in (-25.0, -55.0):  # one model, as in a sweep panel
+            wlo_slp_optimize(
+                context.program, context.fresh_spec(max_wl=target.max_wl),
+                model, target, constraint,
+            )
+        assert 0 < model.trial_hits < model.trial_questions == len(asked)
+        reference = _fresh_model(context)
+        for spec, (base, *groups), apply, power in asked:
+            # The question names the trial, and the answer is the one
+            # the asking round would have computed itself.
+            assert spec.state_key() == base
+            assert power == _fresh_trial(reference, spec, groups)
+            token = spec.save()
+            apply(spec)
+            assert power == reference.noise_power(spec)
+            spec.revert(token)
+
+    def test_overfill_stays_within_cap(self, fir_context, monkeypatch):
+        from repro.accuracy import analytical
+
+        monkeypatch.setattr(analytical, "_MEMO_CAP", 8)
+        model = _fresh_model(fir_context)
+        reference = _fresh_model(fir_context)
+        spec = _uniform(fir_context, 32)
+        groups = [(lanes, wl) for lanes in _mul_pairs(fir_context)
+                  for wl in (8, 12, 16)]
+        assert len(groups) > 8
+        for _ in range(2):
+            for lanes, wl in groups:
+                power = model.trial_noise_power(
+                    spec, (spec.state_key(), (lanes, wl)),
+                    _group_trial(fir_context.program, lanes, wl),
+                )
+                assert len(model._trial_memo) <= 8
+                assert power == _fresh_trial(reference, spec, [(lanes, wl)])
+        assert model.trial_hits == 0  # every question was evicted in time
 
 
 class TestSites:

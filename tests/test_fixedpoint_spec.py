@@ -1,5 +1,8 @@
 """Slot map and fixed-point specification tests."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.errors import FixedPointError
@@ -199,30 +202,83 @@ class TestStateKey:
 class TestClone:
     def test_clone_is_independent(self, tiny_program):
         spec = FixedPointSpec(SlotMap(tiny_program))
+        spec.set_edge_wl(1, 0, 16)
         twin = spec.clone()
+        assert twin.state_key() == spec.state_key()
         spec.set_wl(0, 16)
         assert twin.wl(0) == 32
+        twin.set_iwl(2, 5)
+        twin.set_edge_wl(1, 0, 8)
+        assert spec.iwl(2) == 1 and spec.edge_wl(1, 0) == 16
+        twin.revert(0)  # the twin's journal starts empty
+        assert twin.iwl(2) == 1 and twin.edge_wl(1, 0) == 16
+
+    def test_pickle_round_trip_preserves_state(self, tiny_program):
+        spec = FixedPointSpec(SlotMap(tiny_program), max_wl=24)
+        token = spec.save()
+        spec.set_wl(0, 16)
+        spec.set_iwl(2, 5)
+        spec.set_edge_wl(1, 1, 12)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy.state_key() == spec.state_key()
+        assert (copy.wl(0), copy.iwl(2), copy.edge_wl(1, 1)) == (16, 5, 12)
+        copy.revert(token)  # the journal travels too
+        assert copy.state_key() == FixedPointSpec(spec.slotmap, 24).state_key()
+        assert spec.wl(0) == 16
+
+
+def _mutations(slotmap):
+    from hypothesis import strategies as st
+
+    return st.lists(
+        st.tuples(
+            st.sampled_from(["wl", "iwl", "fwl", "edge", "revert"]),
+            st.integers(0, slotmap.n_slots - 1),
+            st.integers(1, 32),
+        ),
+        max_size=24,
+    )
+
+
+def _mutate(spec, kind, slot, value, tokens):
+    """One random-walk step; ``revert`` rolls back to a saved token."""
+    n_ops = spec.slotmap.n_ops
+    if kind == "wl":
+        spec.set_wl(slot, value)
+    elif kind == "iwl":
+        spec.set_iwl(slot, value)
+    elif kind == "fwl":
+        if value < spec.wl(slot):
+            spec.set_fwl(slot, value)
+    elif kind == "edge":
+        spec.set_edge_wl(slot % n_ops, value % 2, value)
+    else:
+        spec.revert(tokens[value % len(tokens)])
+        del tokens[value % len(tokens) + 1:]
+    tokens.append(spec.save())
+
+
+def _three_buffer_key(spec):
+    """The key of the three-array spec, rebuilt from the public views:
+    per-slot wl, then iwl (int16; slots other than tie-group roots keep
+    their initial values), then the (n_ops, 2) edge word lengths."""
+    slotmap = spec.slotmap
+    is_root = slotmap.root == np.arange(slotmap.n_slots)
+    wl = np.where(is_root, spec.wl_vector(), spec.max_wl).astype(np.int16)
+    iwl = np.where(is_root, spec.iwl_vector(), 1).astype(np.int16)
+    edge = spec.edge_wl_matrix().astype(np.int16)
+    return wl.tobytes() + iwl.tobytes() + edge.tobytes()
 
 
 class TestJournalProperties:
-    """Hypothesis: any mutation sequence reverts to the checkpoint."""
+    """Hypothesis: random mutation walks over the journaled spec."""
 
     def test_random_sequences_revert(self, tiny_program):
-        from hypothesis import given, settings, strategies as st
-        from repro.fixedpoint import FixedPointSpec, SlotMap
+        from hypothesis import given, settings
 
         slotmap = SlotMap(tiny_program)
 
-        mutations = st.lists(
-            st.tuples(
-                st.sampled_from(["wl", "iwl", "fwl", "edge"]),
-                st.integers(0, slotmap.n_slots - 1),
-                st.integers(1, 32),
-            ),
-            max_size=24,
-        )
-
-        @given(mutations)
+        @given(_mutations(slotmap))
         @settings(max_examples=50, deadline=None)
         def run(seq):
             spec = FixedPointSpec(slotmap)
@@ -232,20 +288,31 @@ class TestJournalProperties:
                 spec.edge_wl_matrix().copy(),
             )
             token = spec.save()
-            for kind, slot, value in seq:
-                if kind == "wl":
-                    spec.set_wl(slot, value)
-                elif kind == "iwl":
-                    spec.set_iwl(slot, value)
-                elif kind == "fwl":
-                    if value < spec.wl(slot):
-                        spec.set_fwl(slot, value)
-                else:
-                    spec.set_edge_wl(slot % slotmap.n_ops, value % 2,
-                                     value)
+            tokens = [token]
+            for step in seq:
+                _mutate(spec, *step, tokens)
             spec.revert(token)
             assert (spec.wl_vector() == baseline[0]).all()
             assert (spec.iwl_vector() == baseline[1]).all()
             assert (spec.edge_wl_matrix() == baseline[2]).all()
+
+        run()
+
+    def test_state_key_is_the_three_buffers(self, tiny_program):
+        """The flat buffer's key is byte for byte the key of the three
+        separate wl / iwl / edge arrays, so state-memo keys are stable."""
+        from hypothesis import given, settings
+
+        slotmap = SlotMap(tiny_program)
+
+        @given(_mutations(slotmap))
+        @settings(max_examples=50, deadline=None)
+        def run(seq):
+            spec = FixedPointSpec(slotmap, max_wl=28)
+            tokens = [spec.save()]
+            assert spec.state_key() == _three_buffer_key(spec)
+            for step in seq:
+                _mutate(spec, *step, tokens)
+                assert spec.state_key() == _three_buffer_key(spec)
 
         run()

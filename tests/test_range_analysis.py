@@ -5,12 +5,15 @@ import pytest
 
 from repro.errors import RangeAnalysisError
 from repro.fixedpoint import (
+    Interval,
     SlotMap,
     analyze_ranges,
     interval_ranges,
+    range_analysis,
     simulation_ranges,
 )
-from repro.ir import Interpreter, OpKind
+from repro.ir import Interpreter, OpKind, get_backend
+from repro.kernels import kernel_names
 
 
 def _observed_extremes(program, slotmap, n_draws=12, seed=7):
@@ -89,6 +92,38 @@ class TestSimulationAnalysis:
         a = simulation_ranges(small_fir, seed=3)
         b = simulation_ranges(small_fir, seed=3)
         assert a.ranges == b.ranges
+
+
+def _join_per_observation(program, slotmap, backend, seed=2017):
+    """Simulation ranges joining every observation into its root's
+    interval: the reference for the running per-op extremes."""
+    rng = np.random.default_rng(seed)
+    ranges = {}
+
+    def observe(opid, values):
+        vmin = float(np.min(values))
+        vmax = float(np.max(values))
+        root = slotmap.root_of(opid)
+        found = ranges.get(root)
+        if found is None:
+            ranges[root] = Interval(vmin, vmax)
+        elif not (found.contains(vmin) and found.contains(vmax)):
+            ranges[root] = found.join(Interval(vmin, vmax))
+
+    stimuli = range_analysis._stimulus_set(program, 6, rng)
+    get_backend(backend).run_float(program, stimuli, range_probe=observe)
+    range_analysis._seed_symbol_ranges(program, slotmap, ranges)
+    return {root: iv.widen_relative(0.5) for root, iv in ranges.items()}
+
+
+class TestRunningExtremes:
+    @pytest.mark.parametrize("backend", ["scalar", "batch"])
+    @pytest.mark.parametrize("kernel", kernel_names())
+    def test_equal_joins_per_observation(self, small_kernels, kernel, backend):
+        program = small_kernels[kernel]
+        slotmap = SlotMap(program)
+        result = simulation_ranges(program, slotmap, backend=backend)
+        assert result.ranges == _join_per_observation(program, slotmap, backend)
 
 
 class TestAutoDispatch:
