@@ -23,8 +23,10 @@ trajectory for the engine:
   continuation quality contract (every warm cell feasible at cost ≤ its
   cold counterpart).
 * ``noise_memo`` — the cold fir panel of the paper grid (4 targets × 7
-  constraints), guarding the hit ratio of the accuracy model's
-  state-keyed noise memo and recording its trial memo's hits.
+  constraints), guarding that the accuracy model's state-keyed noise
+  memo evaluates the closed form at most once per state, and that
+  targets sharing a datapath run each search once; it also records the
+  trial memo's hits and the SLP index's selections.
 """
 
 from __future__ import annotations
@@ -33,12 +35,14 @@ import os
 import platform
 import time
 
+from repro.accuracy.analytical import AccuracyModel
 from repro.experiments import KernelConfig, SweepCache, SweepExecutor, SweepPlan
 from repro.experiments import engine
 from repro.experiments.engine import PAPER_CONSTRAINT_GRID, PAPER_TARGETS
 from repro.pipeline import ANALYSIS_PASS_NAMES, PassCache, run_flow
 from repro.pipeline.cache import global_pass_cache
 from repro.pipeline.passes import AccuracyModelPass
+from repro.slp import extraction
 from repro.targets import get_target
 from repro.wlo import clear_continuations
 
@@ -60,8 +64,14 @@ WARM_SPEEDUP_FLOOR = 1.0
 
 #: One accuracy model serves all 28 cells of a kernel, and every search
 #: starts from the same all-max spec, so most noise queries repeat a
-#: state (deterministic: fir answers 93 % of them from the memo).
-NOISE_MEMO_HIT_FLOOR = 0.9
+#: state: the cold fir panel evaluates the closed form for 1,574
+#: distinct states (deterministic), each exactly once.
+NOISE_MEMO_MAX_EVALUATIONS = 1574
+
+#: The fir panel's 4 targets have 2 datapaths (2x16; 2x16 + 4x8), so
+#: each search pass runs once per datapath and constraint: 2 x 7.
+SEARCH_PASSES = ("wlo", "wlo-slp", "slp-extract")
+SEARCH_RUNS = 14
 
 BENCH_CONFIG = KernelConfig(
     n_samples=256, analysis_samples=96, image_size=24, analysis_image_size=18
@@ -283,13 +293,17 @@ def test_bench_wlo_continuation(results_dir):
 
 
 def test_bench_noise_memo(results_dir, monkeypatch):
-    """The noise memo answers most queries of a cold paper-size panel.
+    """The memos and the shared searches of a cold paper-size panel.
 
     Captures the one accuracy model the fir cells share (the pass cache
     builds it once) and reads its counters after a cold serial sweep of
     fir over the paper's targets and constraints: accuracy questions
     (each counted once, whichever memo answers), closed-form
     evaluations, and the joint SLP rounds' trial questions and hits.
+    The guard is exact: at most ``NOISE_MEMO_MAX_EVALUATIONS`` closed
+    forms, no state evaluated twice, and ``SEARCH_RUNS`` runs of each
+    search pass.  The hit ratio is recorded only: sharing the searches
+    of twin targets halves the questions, not the evaluations.
     """
     models = []
     build_model = AccuracyModelPass.run
@@ -299,20 +313,48 @@ def test_bench_noise_memo(results_dir, monkeypatch):
         models.append(outputs["model"])
         return outputs
 
+    evaluated = []
+    evaluate = AccuracyModel._evaluate
+
+    def record_state(self, spec):
+        evaluated.append(spec.state_key())
+        return evaluate(self, spec)
+
+    selections = {"asked": 0, "computed": 0}
+    select = extraction.BlockSlp.select
+    compute = extraction.select_groups
+
+    def ask(*args, **kwargs):
+        selections["asked"] += 1
+        return select(*args, **kwargs)
+
+    def computed(*args, **kwargs):
+        selections["computed"] += 1
+        return compute(*args, **kwargs)
+
     monkeypatch.setattr(AccuracyModelPass, "run", capture)
+    monkeypatch.setattr(AccuracyModel, "_evaluate", record_state)
+    monkeypatch.setattr(extraction.BlockSlp, "select", ask)
+    monkeypatch.setattr(extraction, "select_groups", computed)
     config = KernelConfig()
     plan = SweepPlan.build(config, ("fir",), PAPER_TARGETS, PAPER_CONSTRAINT_GRID)
     _forget_process_memos()
     started = time.perf_counter()
     _cells, stats = SweepExecutor(config, jobs=1).run(plan)
     seconds = time.perf_counter() - started
+    search_runs = {
+        name: global_pass_cache().executions(name) for name in SEARCH_PASSES
+    }
     _forget_process_memos()
     assert stats.computed == len(plan)
     assert len(models) == 1
 
     model = models[0]
+    assert model.miss_count == len(evaluated)
+    assert model.miss_count <= NOISE_MEMO_MAX_EVALUATIONS
+    assert len(set(evaluated)) == len(evaluated)  # no state twice
+    assert search_runs == dict.fromkeys(SEARCH_PASSES, SEARCH_RUNS)
     hit_ratio = 1.0 - model.miss_count / model.eval_count
-    assert hit_ratio >= NOISE_MEMO_HIT_FLOOR
 
     _record("noise_memo", {
         "kernel": "fir",
@@ -322,9 +364,12 @@ def test_bench_noise_memo(results_dir, monkeypatch):
         "python": platform.python_version(),
         "noise_calls": model.eval_count,
         "noise_misses": model.miss_count,
+        "max_evaluations": NOISE_MEMO_MAX_EVALUATIONS,
         "hit_ratio": round(hit_ratio, 3),
-        "hit_ratio_floor": NOISE_MEMO_HIT_FLOOR,
         "trial_questions": model.trial_questions,
         "trial_hits": model.trial_hits,
+        "search_runs": search_runs,
+        "selections_asked": selections["asked"],
+        "selections_computed": selections["computed"],
         "sweep_seconds": round(seconds, 3),
     })

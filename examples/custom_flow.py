@@ -43,9 +43,10 @@ def main() -> None:
     )
 
     # 2. A custom WLO engine: the paper's Tabu search, more patient.
-    def tabu_long(program, spec, model, target, constraint_db):
+    #    Engines see the target only through its word lengths.
+    def tabu_long(program, spec, model, word_lengths, constraint_db):
         config = TabuConfig(max_iterations=400, patience=120)
-        return tabu_wlo(program, spec, model, target, constraint_db, config)
+        return tabu_wlo(program, spec, model, word_lengths, constraint_db, config)
 
     register_wlo_engine("tabu-long", tabu_long)
     declare_decoupled_flow(

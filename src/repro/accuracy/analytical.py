@@ -25,7 +25,7 @@ from repro.accuracy.sites import Site, SiteKind, enumerate_sites
 from repro.fixedpoint.quantize import QuantMode, quantize_value
 from repro.fixedpoint.spec import NO_NARROW, FixedPointSpec, SlotMap
 from repro.ir.program import Program
-from repro.utils import power_to_db
+from repro.utils import power_to_db, remember
 
 __all__ = ["AccuracyModel", "build_accuracy_model"]
 
@@ -54,8 +54,6 @@ class _SiteTables:
     me_k1: np.ndarray
     # MUL outputs.
     mo_op: np.ndarray
-    mo_a: np.ndarray
-    mo_b: np.ndarray
     mo_k2: np.ndarray
     mo_k1: np.ndarray
     # INPUT conversions.
@@ -96,7 +94,7 @@ def _pack_sites(sites: list[Site], gains: NoiseGains) -> _SiteTables:
     return _SiteTables(
         al_from, al_to, al_k2, al_k1,
         me_op, me_pos, me_prod, me_k2, me_k1,
-        mo_op, np.zeros(0), np.zeros(0), mo_k2, mo_k1,
+        mo_op, mo_k2, mo_k1,
         in_to, in_k2, in_k1,
     )
 
@@ -137,11 +135,33 @@ class AccuracyModel:
         self.const_mode = const_mode
         self.include_coeff_error = include_coeff_error
         self.sites = enumerate_sites(program, slotmap)
-        self._tables = _pack_sites(self.sites, gains)
-        self._mul_producers = np.array(
-            [program.op(int(opid)).operands for opid in self._tables.mo_op],
+        self._tables = t = _pack_sites(self.sites, gains)
+        # Every multiply operand edge, gathered in one pass: the MUL_EDGE
+        # sites, then the first and the second operand of each MUL_OUT
+        # site.
+        producers = np.array(
+            [program.op(int(opid)).operands for opid in t.mo_op],
             dtype=np.int64,
         ).reshape(-1, 2)
+        self._edge_op = np.concatenate((t.me_op, t.mo_op, t.mo_op))
+        self._edge_pos = np.concatenate((
+            t.me_pos, np.zeros_like(t.mo_op), np.ones_like(t.mo_op)
+        ))
+        self._edge_prod = np.concatenate(
+            (t.me_prod, producers[:, 0], producers[:, 1])
+        )
+        # The ALIGN, MUL_EDGE and MUL_OUT sites' slices of the fused
+        # moment arrays, with their gains, in evaluation order.
+        n_al, n_me, n_mo = t.al_from.size, t.me_op.size, t.mo_op.size
+        self._classes = [
+            (lo, lo + n, k2, k1)
+            for lo, n, k2, k1 in (
+                (0, n_al, t.al_k2, t.al_k1),
+                (n_al, n_me, t.me_k2, t.me_k1),
+                (n_al + n_me, n_mo, t.mo_k2, t.mo_k1),
+            )
+            if n
+        ]
         self._coeff_slots = np.array(
             [entry.slot for entry in gains.coeff_entries], dtype=np.int64
         )
@@ -180,11 +200,7 @@ class AccuracyModel:
         if found is None:
             self.miss_count += 1
             found = self._evaluate(spec)
-            if len(self._memo) >= _MEMO_CAP:
-                # Unlocked on purpose: a job thread racing this clear can
-                # only evaluate one state twice, never read a wrong value.
-                self._memo.clear()
-            self._memo[key] = found
+            remember(self._memo, key, found, _MEMO_CAP)
         return found
 
     def trial_noise_power(
@@ -212,45 +228,44 @@ class AccuracyModel:
         apply(spec)
         found = self.noise_power(spec)
         spec.revert(token)
-        if len(self._trial_memo) >= _MEMO_CAP:
-            # Unlocked, as for the state memo: a racing thread can only
-            # answer one question twice.
-            self._trial_memo.clear()
-        self._trial_memo[question] = found
+        remember(self._trial_memo, question, found, _MEMO_CAP)
         return found
 
     def _evaluate(self, spec: FixedPointSpec) -> float:
-        """The closed-form noise power (the uncached :meth:`noise_power`)."""
+        """The closed-form noise power (the uncached :meth:`noise_power`).
+
+        One gather covers every multiply operand edge, and one
+        :func:`_moments` call covers the ALIGN, MUL_EDGE and MUL_OUT
+        sites; the per-class sums run over slices in a fixed order, so
+        every float is the one a per-class evaluation gives.
+        """
         t = self._tables
         fwl = spec.fwl_vector()
         iwl = spec.iwl_vector()
         edge = spec.edge_wl_matrix()
 
+        # Fractional bits each multiply consumes its operands at: the
+        # producer's, narrowed to the edge word length when one is set.
+        f_prod = fwl[self._edge_prod]
+        budget = edge[self._edge_op, self._edge_pos]
+        f_cons = np.where(
+            budget >= NO_NARROW,
+            f_prod,
+            np.minimum(f_prod, budget - iwl[self._edge_prod]),
+        )
+        n_me, n_mo = t.me_op.size, t.mo_op.size
+        exact_product = f_cons[n_me:n_me + n_mo] + f_cons[n_me + n_mo:]
+        mean, var = _moments(
+            np.concatenate((fwl[t.al_from], f_prod[:n_me], exact_product)),
+            np.concatenate((fwl[t.al_to], f_cons[:n_me], fwl[t.mo_op])),
+            self.quant_mode,
+        )
+
         var_total = 0.0
         mean_total = 0.0
-
-        if t.al_from.size:
-            mean, var = _moments(fwl[t.al_from], fwl[t.al_to], self.quant_mode)
-            var_total += float(np.dot(var, t.al_k2))
-            mean_total += float(np.dot(mean, t.al_k1))
-
-        if t.me_op.size:
-            f_prod = fwl[t.me_prod]
-            budget = edge[t.me_op, t.me_pos]
-            f_cons = np.where(
-                budget >= NO_NARROW,
-                f_prod,
-                np.minimum(f_prod, budget - iwl[t.me_prod]),
-            )
-            mean, var = _moments(f_prod, f_cons, self.quant_mode)
-            var_total += float(np.dot(var, t.me_k2))
-            mean_total += float(np.dot(mean, t.me_k1))
-
-        if t.mo_op.size:
-            f_from = self._mul_product_fwl(t.mo_op, fwl, iwl, edge)
-            mean, var = _moments(f_from, fwl[t.mo_op], self.quant_mode)
-            var_total += float(np.dot(var, t.mo_k2))
-            mean_total += float(np.dot(mean, t.mo_k1))
+        for lo, hi, k2, k1 in self._classes:
+            var_total += float(np.dot(var[lo:hi], k2))
+            mean_total += float(np.dot(mean[lo:hi], k1))
 
         if t.in_to.size:
             q = np.ldexp(1.0, -fwl[t.in_to])
@@ -263,27 +278,6 @@ class AccuracyModel:
         if self.include_coeff_error and self._coeff_slots.size:
             power += self._coeff_power(fwl)
         return power
-
-    def _mul_product_fwl(
-        self,
-        mul_ops: np.ndarray,
-        fwl: np.ndarray,
-        iwl: np.ndarray,
-        edge: np.ndarray,
-    ) -> np.ndarray:
-        """Exact-product fractional bits per multiply node."""
-        total = np.zeros(mul_ops.size, dtype=np.int64)
-        for pos in (0, 1):
-            producers = self._mul_producers[:, pos]
-            f_prod = fwl[producers]
-            budget = edge[mul_ops, pos]
-            f_cons = np.where(
-                budget >= NO_NARROW,
-                f_prod,
-                np.minimum(f_prod, budget - iwl[producers]),
-            )
-            total = total + f_cons
-        return total
 
     def _coeff_power(self, fwl: np.ndarray) -> float:
         key = tuple(int(f) for f in fwl[self._coeff_slots])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.errors import CodegenError
 from repro.ir.block import BasicBlock
-from repro.ir.deps import build_dependence_graph
+from repro.ir.deps import dependence_graph
 from repro.ir.optypes import OpKind
 from repro.ir.program import Program
 from repro.scheduler.machineop import MachineBlock
@@ -36,7 +36,7 @@ def lower_float_block(
 ) -> MachineBlock:
     """Lower one block as floating-point code."""
     machine = MachineBlock(block.name)
-    deps = build_dependence_graph(block)
+    deps = dependence_graph(program, block)
     value_mid: dict[int, int | None] = {}
     anchor_mid: dict[int, int | None] = {}
     var_mid: dict[str, int | None] = {}

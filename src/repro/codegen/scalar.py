@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from repro.errors import CodegenError
 from repro.fixedpoint.spec import FixedPointSpec
 from repro.ir.block import BasicBlock
-from repro.ir.deps import build_dependence_graph, is_loop_invariant_load
+from repro.ir.deps import dependence_graph, is_loop_invariant_load
 from repro.ir.ops import Operation
 from repro.ir.optypes import OpKind
 from repro.ir.program import Program
@@ -60,7 +60,7 @@ class ScalarLowering:
 
     def __post_init__(self) -> None:
         self.machine = MachineBlock(self.block.name)
-        self.deps = build_dependence_graph(self.block)
+        self.deps = dependence_graph(self.program, self.block)
 
     # ------------------------------------------------------------------
     # Helpers shared with the SIMD lowering

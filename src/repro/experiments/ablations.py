@@ -93,7 +93,7 @@ def ablation_quant_mode(
                              ("round", rounded_model)):
             spec = ctx.fresh_spec(max_wl=target.max_wl)
             outcome = wlo_slp_optimize(
-                ctx.program, spec, model, target, constraint
+                ctx.program, spec, model, target.word_lengths, constraint
             )
             from repro.codegen.simd import lower_simd_program
             from repro.scheduler.cycles import program_cycles

@@ -133,7 +133,12 @@ def _check_twin(program: Program, twin: Program) -> None:
 
 @dataclass
 class FlowResult:
-    """Outcome of one compilation flow on one (target, constraint)."""
+    """Outcome of one compilation flow on one (target, constraint).
+
+    ``spec`` is the caller's own copy.  ``cycles``, ``groups`` and the
+    ``extra`` statistics may be pass-cache artifacts that later results
+    share (a twin target's, or a rerun's), so treat them as read-only.
+    """
 
     flow: str
     program_name: str

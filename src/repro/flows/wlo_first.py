@@ -60,12 +60,13 @@ def run_wlo_first(
     ctx = context or AnalysisContext.build(program)
     spec = ctx.fresh_spec(max_wl=target.max_wl)
 
+    word_lengths = target.word_lengths
     if tabu_config is not None and wlo.lower() == "tabu":
         wlo_stats = tabu_wlo(
-            program, spec, ctx.model, target, accuracy_db, tabu_config
+            program, spec, ctx.model, word_lengths, accuracy_db, tabu_config
         )
     else:
-        wlo_stats = engine(program, spec, ctx.model, target, accuracy_db)
+        wlo_stats = engine(program, spec, ctx.model, word_lengths, accuracy_db)
 
     noise_db = ctx.model.noise_db(spec)
 
@@ -84,7 +85,9 @@ def run_wlo_first(
 
     stats = SelectionStats()
     groups = {
-        name: extract_groups_decoupled(program, block, spec, target, stats)
+        name: extract_groups_decoupled(
+            program, block, spec, word_lengths, stats
+        )
         for name, block in program.blocks.items()
     }
     simd_lowered = lower_simd_program(program, spec, target, groups)

@@ -32,7 +32,8 @@ def run_wlo_slp(
     ctx = context or AnalysisContext.build(program)
     spec = ctx.fresh_spec(max_wl=target.max_wl)
     outcome = wlo_slp_optimize(
-        program, spec, ctx.model, target, accuracy_db, **optimizer_kwargs
+        program, spec, ctx.model, target.word_lengths, accuracy_db,
+        **optimizer_kwargs,
     )
     lowered = lower_simd_program(program, spec, target, outcome.groups)
     cycles = program_cycles(program, lowered, target)

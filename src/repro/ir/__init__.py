@@ -23,7 +23,12 @@ from repro.ir.batch import (
 )
 from repro.ir.block import BasicBlock
 from repro.ir.builder import ProgramBuilder, Val
-from repro.ir.deps import DependenceGraph, build_dependence_graph, may_alias
+from repro.ir.deps import (
+    DependenceGraph,
+    build_dependence_graph,
+    dependence_graph,
+    may_alias,
+)
 from repro.ir.index import AffineIndex, loop_index
 from repro.ir.interp import ExecutionTrace, Interpreter, run_program
 from repro.ir.ops import Operation
@@ -37,7 +42,7 @@ from repro.ir.optypes import (
     OpKind,
 )
 from repro.ir.printer import format_block, format_op, format_program
-from repro.ir.program import BlockRef, LoopNode, Program
+from repro.ir.program import BlockRef, LoopNode, Program, block_memo
 from repro.ir.symbols import ArrayDecl, SymbolKind, VarDecl
 from repro.ir.validate import validate_program
 from repro.ir.vectorize import VectorPlan, build_vector_plan, vector_plan
@@ -74,7 +79,9 @@ __all__ = [
     "SIMDIZABLE_KINDS",
     "UNARY_KINDS",
     "available_backends",
+    "block_memo",
     "build_dependence_graph",
+    "dependence_graph",
     "build_vector_plan",
     "format_block",
     "get_backend",

@@ -24,11 +24,13 @@ import networkx as nx
 from repro.ir.block import BasicBlock
 from repro.ir.ops import Operation
 from repro.ir.optypes import OpKind
+from repro.ir.program import Program, block_memo
 
 __all__ = [
     "DependenceGraph",
     "may_alias",
     "build_dependence_graph",
+    "dependence_graph",
     "is_loop_invariant_load",
 ]
 
@@ -143,3 +145,14 @@ def build_dependence_graph(block: BasicBlock) -> DependenceGraph:
                 graph.add_edge(first.opid, second.opid, dep="scalar")
 
     return DependenceGraph(block, graph)
+
+
+def dependence_graph(program: Program, block: BasicBlock) -> DependenceGraph:
+    """The dependence graph of ``program``'s ``block``, built once.
+
+    The SLP front ends and the scalar, SIMD and float lowerings of
+    every cell of a sweep ask for the same few graphs; see
+    :func:`~repro.ir.program.block_memo`.  Callers must not mutate the
+    graph.
+    """
+    return block_memo(program, block, "deps", build_dependence_graph)

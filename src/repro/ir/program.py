@@ -11,7 +11,7 @@ mutually consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Iterator, TypeVar, Union
 
 from repro.errors import IRError
 from repro.ir.block import BasicBlock
@@ -19,7 +19,9 @@ from repro.ir.ops import Operation
 from repro.ir.optypes import OpKind
 from repro.ir.symbols import ArrayDecl, SymbolKind, VarDecl
 
-__all__ = ["BlockRef", "LoopNode", "Program"]
+__all__ = ["BlockRef", "LoopNode", "Program", "block_memo"]
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -172,3 +174,28 @@ class Program:
         from repro.ir.printer import format_program
 
         return format_program(self)
+
+
+def block_memo(
+    program: Program,
+    block: BasicBlock,
+    kind: str,
+    build: Callable[[BasicBlock], T],
+) -> T:
+    """``build(block)``, built once per ``kind`` for ``program``'s ``block``.
+
+    Memoized on the program object, like its content fingerprint, so a
+    fresh program starts cold.  A block that is not ``program``'s own
+    is never memoized: it gets a fresh ``build(block)``.  Callers must
+    not mutate what they get.
+    """
+    if program.blocks.get(block.name) is not block:
+        return build(block)
+    memos = getattr(program, "_block_memos", None)
+    if memos is None:
+        memos = program._block_memos = {}
+    key = (kind, block.name)
+    found = memos.get(key)
+    if found is None:
+        found = memos[key] = build(block)
+    return found

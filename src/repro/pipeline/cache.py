@@ -4,10 +4,11 @@ Two-level scheme:
 
 * **Fingerprints** identify artifact *content*.  Seed artifacts get a
   true content hash — a :class:`~repro.ir.program.Program` hashes its
-  printed IR plus every compile-time array payload, a target model its
-  dataclass repr, a constraint its float repr.  Artifacts produced by
-  a pass inherit a fingerprint derived from that pass's cache key, so
-  provenance chains compose without re-hashing big objects.
+  printed IR plus every compile-time array payload, a target model
+  (and a target's word lengths) its dataclass repr, a constraint its
+  float repr.  Artifacts produced by a pass inherit a fingerprint
+  derived from that pass's cache key, so provenance chains compose
+  without re-hashing big objects.
 * **Pass keys** combine the pass signature (name + parameters), the
   fingerprints of everything the pass reads, and
   :func:`~repro.flows.common.flow_code_version` (so editing semantic
@@ -24,11 +25,12 @@ constraint.
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any
 
 from repro.ir.program import Program
-from repro.targets.model import TargetModel
+from repro.targets.model import TargetModel, WordLengths
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.pipeline.passes import Pass
@@ -77,11 +79,14 @@ def _program_fingerprint(program: Program) -> str:
 
 
 def content_fingerprint(value: Any) -> str:
-    """Content hash of a seed artifact (program / target / scalar)."""
+    """Content hash of a seed artifact (program / target / word lengths /
+    scalar)."""
     if isinstance(value, Program):
         return _program_fingerprint(value)
     if isinstance(value, TargetModel):
         return _digest("target", repr(value))
+    if isinstance(value, WordLengths):
+        return _digest("word-lengths", repr(value))
     if value is None or isinstance(value, (bool, int, float, str)):
         return _digest("scalar", repr(value))
     raise TypeError(
@@ -113,6 +118,11 @@ class PassCache:
     otherwise accumulate across a long sweep.  The hot, shared entries
     — the analysis prefix of each kernel — are re-touched by every
     cell and therefore never age out in practice.
+
+    ``repro serve`` runs jobs on threads that share the global
+    instance, so every read-modify-write of the entries and counters
+    holds one lock: a store evicting the key a lookup just found must
+    not land between the lookup's read and its LRU touch.
     """
 
     def __init__(self, max_entries: int = 512) -> None:
@@ -120,34 +130,39 @@ class PassCache:
         self._entries: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self.hits: dict[str, int] = {}
         self.misses: dict[str, int] = {}
+        self._lock = threading.Lock()
 
     def lookup(self, pass_name: str, key: str) -> dict[str, Any] | None:
-        found = self._entries.get(key)
-        if found is None:
-            self.count_execution(pass_name)
-            return None
-        self._entries.move_to_end(key)
-        self.hits[pass_name] = self.hits.get(pass_name, 0) + 1
-        return found
+        with self._lock:
+            found = self._entries.get(key)
+            if found is None:
+                self.misses[pass_name] = self.misses.get(pass_name, 0) + 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits[pass_name] = self.hits.get(pass_name, 0) + 1
+            return found
 
     def count_execution(self, pass_name: str) -> None:
         """Record one actual run (also used for uncacheable passes)."""
-        self.misses[pass_name] = self.misses.get(pass_name, 0) + 1
+        with self._lock:
+            self.misses[pass_name] = self.misses.get(pass_name, 0) + 1
 
     def store(self, key: str, outputs: dict[str, Any]) -> None:
-        self._entries[key] = outputs
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+        with self._lock:
+            self._entries[key] = outputs
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
 
     def executions(self, pass_name: str) -> int:
         """How many times the named pass actually ran (cache misses)."""
         return self.misses.get(pass_name, 0)
 
     def clear(self) -> None:
-        self._entries.clear()
-        self.hits.clear()
-        self.misses.clear()
+        with self._lock:
+            self._entries.clear()
+            self.hits.clear()
+            self.misses.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -113,7 +113,7 @@ def _decoupled_result(
     program = state.get("program")
     target = state.get("target")
     constraint = state.get("constraint_db")
-    spec = state.get("spec")
+    spec = state.get("spec").clone()  # the pass cache keeps the original
     noise_db = state.get("noise_db")
     wlo_stats = state.get("wlo_stats")
     prefix = f"{flow_name}/{params['wlo']}"
@@ -202,7 +202,7 @@ def _joint_result(
         program_name=state.get("program").name,
         target_name=state.get("target").name,
         constraint_db=state.get("constraint_db"),
-        spec=state.get("spec"),
+        spec=state.get("spec").clone(),  # the pass cache keeps the original
         cycles=state.get("cycles"),
         groups=state.get("groups"),
         noise_db=state.get("noise_db"),

@@ -196,25 +196,44 @@ ANALYSIS_PASS_NAMES: tuple[str, ...] = (
 
 
 # ----------------------------------------------------------------------
-# Spec construction and word-length optimization (mutable, uncached).
+# Spec construction and word-length optimization.  The searches see the
+# target only through its word lengths, so targets sharing a datapath
+# share their results.
 
 class IwlAssignmentPass(Pass):
-    """Fresh spec with range-derived IWLs at the target's maximum WL.
+    """Initial spec: range-derived IWLs at the maximum word length.
 
-    Uncacheable on purpose: the spec is mutated by the WLO passes, so
-    every pipeline run needs its own instance (construction is cheap).
+    Cacheable like the analysis prefix: no pass mutates a spec it reads
+    (the WLO passes optimize a clone), so every target with the same
+    word lengths starts from one shared instance.
     """
 
     name = "iwl-assignment"
-    reads = ("slotmap", "ranges", "target")
+    reads = ("slotmap", "ranges", "word_lengths")
     writes = ("spec",)
+    cacheable = True
 
     def run(self, state: FlowState) -> dict[str, Any]:
         spec = FixedPointSpec(
-            state.get("slotmap"), max_wl=state.get("target").max_wl
+            state.get("slotmap"), max_wl=state.get("word_lengths").max_wl
         )
         assign_iwls(spec, state.get("ranges"))
         return {"spec": spec}
+
+
+def _search_reads(continuation: str) -> tuple[tuple[str, ...], bool]:
+    """``(reads, cacheable)`` of a search pass in ``continuation`` mode.
+
+    A cold search is a function of its program, initial spec, model,
+    word lengths and constraint, so it is cached and a target sharing
+    the datapath reuses it.  Warm and pareto searches also read the
+    continuation store, whose families are filed per target: they read
+    ``target`` too and always run.
+    """
+    reads = ("program", "spec", "model", "word_lengths", "constraint_db")
+    if continuation:
+        return reads + ("target",), False
+    return reads, True
 
 
 def _check_continuation_mode(mode: str) -> str:
@@ -272,15 +291,19 @@ class WloPass(Pass):
     part of :meth:`params` (hence of every cache key); the default
     ``""`` keeps the signature — and therefore all cold cache keys —
     byte-identical to previous releases.
+
+    The engine receives the target's
+    :class:`~repro.targets.model.WordLengths` and optimizes a clone of
+    the input spec, which stays untouched.
     """
 
     name = "wlo"
-    reads = ("program", "spec", "model", "target", "constraint_db")
     writes = ("spec", "wlo_stats")
 
     def __init__(self, engine: str = "tabu", continuation: str = "") -> None:
         self.engine = engine
         self.continuation = _check_continuation_mode(continuation)
+        self.reads, self.cacheable = _search_reads(self.continuation)
 
     def params(self) -> dict[str, Any]:
         params: dict[str, Any] = {"engine": self.engine}
@@ -289,7 +312,7 @@ class WloPass(Pass):
         return params
 
     def run(self, state: FlowState) -> dict[str, Any]:
-        spec = state.get("spec")
+        spec = state.get("spec").clone()
         constraint_db = state.get("constraint_db")
         if self.continuation == "pareto":
             return self._run_pareto(state, spec, constraint_db)
@@ -302,12 +325,12 @@ class WloPass(Pass):
         if seed is not None:
             stats = engine(
                 state.get("program"), spec, state.get("model"),
-                state.get("target"), constraint_db, warm_start=seed,
+                state.get("word_lengths"), constraint_db, warm_start=seed,
             )
         else:
             stats = engine(
                 state.get("program"), spec, state.get("model"),
-                state.get("target"), constraint_db,
+                state.get("word_lengths"), constraint_db,
             )
         if key:
             record_continuation(
@@ -325,7 +348,7 @@ class WloPass(Pass):
         if frontier is None:
             frontier = pareto_frontier(
                 state.get("program"), spec, state.get("model"),
-                state.get("target"),
+                state.get("word_lengths"),
             )
             record_frontier(key, frontier)
         point = frontier.project(constraint_db)
@@ -349,11 +372,11 @@ class JointWloSlpPass(Pass):
     :class:`~repro.wlo.slp_aware.JointWarmStart`).  The joint engine
     has no scalar frontier to walk, so ``"pareto"`` degrades to the
     warm-continuation behaviour here — only the standalone
-    :class:`WloPass` performs true frontier projection.
+    :class:`WloPass` performs true frontier projection.  Reads, caching
+    and the spec clone follow :class:`WloPass` too.
     """
 
     name = "wlo-slp"
-    reads = ("program", "spec", "model", "target", "constraint_db")
     writes = ("spec", "groups", "selection_stats", "scaling_stats", "wlo_stats")
 
     def __init__(
@@ -367,6 +390,7 @@ class JointWloSlpPass(Pass):
         self.scaloptim = scaloptim
         self.accuracy_conflicts = accuracy_conflicts
         self.continuation = _check_continuation_mode(continuation)
+        self.reads, self.cacheable = _search_reads(self.continuation)
 
     def params(self) -> dict[str, Any]:
         params: dict[str, Any] = {
@@ -379,7 +403,7 @@ class JointWloSlpPass(Pass):
         return params
 
     def run(self, state: FlowState) -> dict[str, Any]:
-        spec = state.get("spec")
+        spec = state.get("spec").clone()
         constraint_db = state.get("constraint_db")
         key = ""
         seed = None
@@ -388,7 +412,7 @@ class JointWloSlpPass(Pass):
             seed = lookup_continuation(key, constraint_db)
         outcome = wlo_slp_optimize(
             state.get("program"), spec, state.get("model"),
-            state.get("target"), constraint_db,
+            state.get("word_lengths"), constraint_db,
             harmonize=self.harmonize, scaloptim=self.scaloptim,
             accuracy_conflicts=self.accuracy_conflicts,
             warm_start=seed,
@@ -427,16 +451,19 @@ class DecoupledSlpPass(Pass):
     """Accuracy-blind SLP extraction after the fact (WLO-First's SLP)."""
 
     name = "slp-extract"
-    reads = ("program", "spec", "target")
+    reads = ("program", "spec", "word_lengths")
     writes = ("groups", "selection_stats")
+    cacheable = True
 
     def run(self, state: FlowState) -> dict[str, Any]:
         program = state.get("program")
         spec = state.get("spec")
-        target = state.get("target")
+        word_lengths = state.get("word_lengths")
         stats = SelectionStats()
         groups = {
-            name: extract_groups_decoupled(program, block, spec, target, stats)
+            name: extract_groups_decoupled(
+                program, block, spec, word_lengths, stats
+            )
             for name, block in program.blocks.items()
         }
         return {"groups": groups, "selection_stats": stats}
@@ -544,7 +571,7 @@ def check_pass_list(
     reading ``constraint_db``, and that mistake should fail here, at
     declaration shape-check time, not midway through a run.
     """
-    available = {"program", "analysis_program", "target"}
+    available = {"program", "analysis_program", "target", "word_lengths"}
     if has_constraint:
         available.add("constraint_db")
     for pass_ in passes:

@@ -9,8 +9,8 @@ log, which the CLI renders under ``--timings``.
 
 Output fingerprints are derived from the pass key whether or not the
 pass is cacheable, so downstream cacheable passes key identically
-across pipeline runs even when an upstream uncacheable pass (e.g. the
-fresh-spec construction) re-ran.
+across pipeline runs even when an upstream uncacheable pass (e.g. a
+warm-started WLO search) re-ran.
 """
 
 from __future__ import annotations

@@ -1,15 +1,17 @@
 """The shared artifact store flow pipelines operate on.
 
 A :class:`FlowState` is a name → artifact dictionary seeded with the
-flow inputs (``program``, ``analysis_program``, ``target`` and — for
-constraint-driven flows — ``constraint_db``) that passes read from and
-write to.  Every artifact carries a *fingerprint*: a content hash for
-the seeds, and a hash of the producing pass's cache key for derived
-artifacts.  Fingerprints are what make per-pass caching sound — a
-pass's cache key is built from the fingerprints of everything it
-reads, so two pipelines sharing an analysis prefix (same program, any
-constraint) resolve the prefix to identical keys and reuse one
-computation.
+flow inputs (``program``, ``analysis_program``, ``target``, the
+target's ``word_lengths`` and — for constraint-driven flows —
+``constraint_db``) that passes read from and write to.  Every artifact
+carries a *fingerprint*: a content hash for the seeds, and a hash of
+the producing pass's cache key for derived artifacts.  Fingerprints
+are what make per-pass caching sound — a pass's cache key is built
+from the fingerprints of everything it reads, so two pipelines sharing
+an analysis prefix (same program, any constraint) resolve the prefix
+to identical keys and reuse one computation.  The search passes read
+``word_lengths`` instead of ``target`` for the same reason: targets
+with one datapath share every search.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ class FlowState:
         state.put("program", program)
         state.put("analysis_program", twin)
         state.put("target", target)
+        state.put("word_lengths", target.word_lengths)
         if constraint_db is not None:
             state.put("constraint_db", float(constraint_db))
         return state

@@ -15,7 +15,9 @@ from repro.slp.conflicts import (
     structural_conflict,
 )
 from repro.slp.extraction import (
+    BlockSlp,
     SelectionStats,
+    block_slp,
     build_group_set,
     extract_groups_decoupled,
     merge_items,
@@ -26,11 +28,13 @@ from repro.slp.groups import GroupSet, SIMDGroup, memory_lane_stride
 __all__ = [
     "BenefitEstimator",
     "BenefitPool",
+    "BlockSlp",
     "Candidate",
     "GroupSet",
     "PackItem",
     "SIMDGroup",
     "SelectionStats",
+    "block_slp",
     "build_group_set",
     "conflict_matrix",
     "extract_candidates",

@@ -15,7 +15,9 @@ The joint algorithm's inner engine.  Differences from plain SLP:
 
 Every check is a trial on the round's spec, asked through the accuracy
 model's trial memo: the 7 constraints of a panel replay the same rounds
-from the same states, so most questions repeat.
+from the same states, so most questions repeat.  Candidates, structural
+conflicts and the selection come from the block's
+:class:`~repro.slp.extraction.BlockSlp` for the same reason.
 """
 
 from __future__ import annotations
@@ -23,14 +25,11 @@ from __future__ import annotations
 from repro.accuracy.analytical import AccuracyModel
 from repro.fixedpoint.spec import FixedPointSpec
 from repro.ir.block import BasicBlock
-from repro.ir.deps import DependenceGraph
 from repro.ir.optypes import OpKind
 from repro.ir.program import Program
-from repro.slp.benefit import BenefitEstimator
-from repro.slp.candidates import Candidate, PackItem, extract_candidates
-from repro.slp.conflicts import conflict_matrix
-from repro.slp.extraction import SelectionStats, select_groups
-from repro.targets.model import TargetModel
+from repro.slp.candidates import Candidate, PackItem
+from repro.slp.extraction import SelectionStats, block_slp
+from repro.targets.model import WordLengths
 from repro.utils import power_to_db
 
 __all__ = ["set_group_wl", "slp_round_accuracy_aware"]
@@ -60,12 +59,10 @@ def slp_round_accuracy_aware(
     program: Program,
     block: BasicBlock,
     items: list[PackItem],
-    deps: DependenceGraph,
-    target: TargetModel,
+    word_lengths: WordLengths,
     spec: FixedPointSpec,
     model: AccuracyModel,
     constraint_db: float,
-    estimator: BenefitEstimator,
     stats: SelectionStats | None = None,
     accuracy_conflicts: bool = True,
 ) -> list[Candidate]:
@@ -76,7 +73,8 @@ def slp_round_accuracy_aware(
     disables the joint-selection conflict class (ablation B), keeping
     only the per-candidate validity check.
     """
-    candidates = extract_candidates(program, items, deps, target)
+    slp = block_slp(program, block)
+    candidates = slp.candidates(items, word_lengths)
     if stats is not None:
         stats.rounds += 1
         stats.candidates_seen += len(candidates)
@@ -108,7 +106,7 @@ def slp_round_accuracy_aware(
     candidates = valid
 
     # --- Conflicts Detection ------------------------------------------
-    conflicts = conflict_matrix(candidates, deps)
+    conflicts = slp.conflicts(candidates)
     if stats is not None:
         stats.structural_conflicts += len(conflicts)
     if accuracy_conflicts:
@@ -127,6 +125,4 @@ def slp_round_accuracy_aware(
     def on_select(candidate: Candidate) -> None:
         set_group_wl(spec, program, candidate.lanes, candidate.wl)
 
-    return select_groups(
-        candidates, conflicts, estimator, items, on_select, stats
-    )
+    return slp.select(candidates, conflicts, items, on_select, stats)

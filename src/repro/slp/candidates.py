@@ -16,7 +16,7 @@ from repro.ir.block import BasicBlock
 from repro.ir.deps import DependenceGraph
 from repro.ir.optypes import SIMDIZABLE_KINDS, OpKind
 from repro.ir.program import Program
-from repro.targets.model import TargetModel
+from repro.targets.model import WordLengths
 
 __all__ = ["Candidate", "PackItem", "initial_items", "extract_candidates"]
 
@@ -85,7 +85,7 @@ def extract_candidates(
     program: Program,
     items: list[PackItem],
     deps: DependenceGraph,
-    target: TargetModel,
+    word_lengths: WordLengths,
 ) -> list[Candidate]:
     """All structurally valid candidates over the current items.
 
@@ -103,7 +103,7 @@ def extract_candidates(
             right = items[j]
             if len(left) != len(right):
                 continue
-            wl = target.group_wl(len(left) + len(right))
+            wl = word_lengths.group_wl(len(left) + len(right))
             if wl is None:
                 continue
             kind = _items_isomorphic(program, left, right)

@@ -15,19 +15,23 @@ Two front ends use this driver:
 * ``repro.slp.accuracy_aware`` — the paper's contribution, which
   filters candidates and conflicts through the accuracy model and
   narrows word lengths (``SETMAXWL``) as groups are selected.
+
+Both ask their questions through one :class:`BlockSlp` per block
+(:func:`block_slp`), which answers repeated candidate, conflict and
+selection questions from memos.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Hashable
 
 from repro.errors import SLPError
 from repro.fixedpoint.spec import FixedPointSpec
 from repro.ir.block import BasicBlock
-from repro.ir.deps import build_dependence_graph
+from repro.ir.deps import dependence_graph
 from repro.ir.optypes import OpKind
-from repro.ir.program import Program
+from repro.ir.program import Program, block_memo
 from repro.slp.benefit import BenefitEstimator
 from repro.slp.candidates import (
     Candidate,
@@ -37,11 +41,14 @@ from repro.slp.candidates import (
 )
 from repro.slp.conflicts import conflict_matrix
 from repro.slp.groups import GroupSet, SIMDGroup
-from repro.targets.model import TargetModel
+from repro.targets.model import WordLengths
+from repro.utils import remember
 
 __all__ = [
     "DEFAULT_MIN_BENEFIT",
+    "BlockSlp",
     "SelectionStats",
+    "block_slp",
     "select_groups",
     "merge_items",
     "build_group_set",
@@ -118,6 +125,102 @@ def select_groups(
     return selected
 
 
+#: Most answers one :class:`BlockSlp` memo holds.  The cold paper sweep
+#: asks a block at most 16 distinct questions per memo; the cap bounds
+#: a long-lived process (``repro serve``).
+_SLP_MEMO_CAP = 1 << 10
+
+
+class BlockSlp:
+    """One block's SLP index: its dependence graph, its benefit oracle
+    and memos of the questions both extraction front ends ask.
+
+    The 7 constraints of a panel replay the same rounds, and targets
+    with equal lane widths ask the same questions, so most repeat:
+
+    * candidates, keyed by (items, word lengths);
+    * structural conflicts, keyed by the candidate tuple; each caller
+      gets a fresh set, which the joint round may extend with accuracy
+      conflicts;
+    * selections, keyed by (candidates, conflicts, items), stored as
+      the picks plus the number of benefit evaluations.  Selection
+      never reads the spec, so a hit replays ``on_select`` in
+      selection order and adds the same :class:`SelectionStats`
+      increments as a fresh :func:`select_groups` call, which computes
+      every miss.
+    """
+
+    def __init__(self, program: Program, block: BasicBlock) -> None:
+        self.program = program
+        self.block = block
+        self.deps = dependence_graph(program, block)
+        self.estimator = BenefitEstimator(program, block)
+        self._candidates: dict[Hashable, tuple[Candidate, ...]] = {}
+        self._conflicts: dict[Hashable, frozenset[frozenset[int]]] = {}
+        self._selections: dict[Hashable, tuple[tuple[Candidate, ...], int]] = {}
+
+    def candidates(
+        self, items: list[PackItem], word_lengths: WordLengths
+    ) -> list[Candidate]:
+        """:func:`extract_candidates` over ``items`` (memoized)."""
+        key = (
+            tuple(items), word_lengths.scalar_wl,
+            tuple(word_lengths.simd_widths),
+        )
+        found = self._candidates.get(key)
+        if found is None:
+            found = tuple(extract_candidates(
+                self.program, items, self.deps, word_lengths
+            ))
+            remember(self._candidates, key, found, _SLP_MEMO_CAP)
+        return list(found)
+
+    def conflicts(self, candidates: list[Candidate]) -> set[frozenset[int]]:
+        """:func:`conflict_matrix` of ``candidates``, as a fresh set."""
+        key = tuple(candidates)
+        found = self._conflicts.get(key)
+        if found is None:
+            found = frozenset(conflict_matrix(candidates, self.deps))
+            remember(self._conflicts, key, found, _SLP_MEMO_CAP)
+        return set(found)
+
+    def select(
+        self,
+        candidates: list[Candidate],
+        conflicts: set[frozenset[int]],
+        items: list[PackItem],
+        on_select: Callable[[Candidate], None] | None = None,
+        stats: SelectionStats | None = None,
+    ) -> list[Candidate]:
+        """:func:`select_groups` with this block's estimator (memoized)."""
+        key = (tuple(candidates), frozenset(conflicts), tuple(items))
+        found = self._selections.get(key)
+        if found is None:
+            counted = SelectionStats()
+            selected = select_groups(
+                candidates, conflicts, self.estimator, items, on_select,
+                counted,
+            )
+            found = (tuple(selected), counted.benefit_evaluations)
+            remember(self._selections, key, found, _SLP_MEMO_CAP)
+        elif on_select is not None:
+            for chosen in found[0]:
+                on_select(chosen)
+        selected, evaluations = found
+        if stats is not None:
+            stats.benefit_evaluations += evaluations
+            stats.candidates_selected += len(selected)
+        return list(selected)
+
+
+def block_slp(program: Program, block: BasicBlock) -> BlockSlp:
+    """The :class:`BlockSlp` of ``program``'s ``block``, built once
+    (see :func:`~repro.ir.program.block_memo`)."""
+    return block_memo(
+        program, block, "slp", lambda own: BlockSlp(program, own)
+    )
+
+
 def merge_items(items: list[PackItem], selected: list[Candidate]) -> list[PackItem]:
     """Collapse selected candidates into combined items (widening)."""
     consumed: set[PackItem] = set()
@@ -162,7 +265,7 @@ def _decoupled_legal(
     candidate: Candidate,
     program: Program,
     spec: FixedPointSpec,
-    target: TargetModel,
+    word_lengths: WordLengths,
 ) -> bool:
     """Legality under fixed, already-optimized word lengths.
 
@@ -177,7 +280,10 @@ def _decoupled_legal(
     if len(wls) != 1:
         return False
     w = wls.pop()
-    if w not in target.simd_widths or w * candidate.size > target.scalar_wl:
+    if (
+        w not in word_lengths.simd_widths
+        or w * candidate.size > word_lengths.scalar_wl
+    ):
         return False
     if candidate.kind is OpKind.MUL:
         for opid in candidate.lanes:
@@ -191,30 +297,31 @@ def extract_groups_decoupled(
     program: Program,
     block: BasicBlock,
     spec: FixedPointSpec,
-    target: TargetModel,
+    word_lengths: WordLengths,
     stats: SelectionStats | None = None,
 ) -> GroupSet:
-    """SLP extraction that takes the spec as immutable input (Fig. 5)."""
-    deps = build_dependence_graph(block)
-    estimator = BenefitEstimator(program, block)
+    """SLP extraction that takes the spec as immutable input (Fig. 5).
+
+    ``word_lengths`` is the target's
+    :class:`~repro.targets.model.WordLengths`.
+    """
+    slp = block_slp(program, block)
     items = initial_items(block)
     while True:
         candidates = [
             candidate
-            for candidate in extract_candidates(program, items, deps, target)
-            if _decoupled_legal(candidate, program, spec, target)
+            for candidate in slp.candidates(items, word_lengths)
+            if _decoupled_legal(candidate, program, spec, word_lengths)
         ]
         if stats is not None:
             stats.rounds += 1
             stats.candidates_seen += len(candidates)
         if not candidates:
             break
-        conflicts = conflict_matrix(candidates, deps)
+        conflicts = slp.conflicts(candidates)
         if stats is not None:
             stats.structural_conflicts += len(conflicts)
-        selected = select_groups(
-            candidates, conflicts, estimator, items, stats=stats
-        )
+        selected = slp.select(candidates, conflicts, items, stats=stats)
         if not selected:
             break
         items = merge_items(items, selected)

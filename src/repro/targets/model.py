@@ -7,6 +7,13 @@ exist, pack/unpack costs and floating-point support.  The four targets
 of the paper (XENTIUM, ST240, VEX-1, VEX-4) are built on this class;
 users can define their own (see ``examples/custom_target.py``).
 
+The search flows see a target only through its :class:`WordLengths`
+(the scalar datapath and the SIMD lane widths): Tabu WLO moves through
+the supported widths, and the joint flow derives each group's width
+from eq. (1).  Issue width, units and latencies matter only once code
+is lowered and scheduled, so two targets with equal word lengths share
+every search result.
+
 Unit classes
 ------------
 ``alu``   add/sub/min/max/abs/shift/pack/unpack/permute/extract/insert
@@ -20,10 +27,59 @@ Unit classes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import TargetError
 
-__all__ = ["TargetModel"]
+__all__ = ["TargetModel", "WordLengths"]
+
+
+@dataclass(frozen=True)
+class WordLengths:
+    """The word-length facts of a target, and every query on them.
+
+    ``scalar_wl`` is the native scalar word length (= the SIMD datapath
+    width) and ``simd_widths`` the sub-word lane widths, widest first.
+    Built by :attr:`TargetModel.word_lengths`, which validates them.
+    """
+
+    scalar_wl: int
+    simd_widths: tuple[int, ...]
+
+    @property
+    def supported_wls(self) -> tuple[int, ...]:
+        """All word lengths an operation can be implemented at."""
+        return (self.scalar_wl,) + tuple(self.simd_widths)
+
+    @property
+    def max_wl(self) -> int:
+        """Maximum supported word length (the Fig. 1a initialization)."""
+        return self.scalar_wl
+
+    def lanes_for_wl(self, wl: int) -> int:
+        """SIMD lanes available at word length ``wl`` (1 = scalar only)."""
+        if wl in self.simd_widths:
+            return self.scalar_wl // wl
+        return 1
+
+    def group_wl(self, n_elements: int) -> int | None:
+        """Paper eq. (1): max supported ``m`` with ``m*Nelem <= SIMD size``.
+
+        Returns ``None`` when no supported sub-word width can hold a
+        group of ``n_elements`` lanes (the group cannot be SIMDized).
+        """
+        candidates = [
+            wl for wl in self.simd_widths
+            if wl * n_elements <= self.scalar_wl
+        ]
+        return max(candidates) if candidates else None
+
+    @property
+    def max_group_size(self) -> int:
+        """Largest SIMD group the target can hold in one word."""
+        if not self.simd_widths:
+            return 1
+        return self.scalar_wl // min(self.simd_widths)
 
 
 @dataclass(frozen=True)
@@ -76,42 +132,35 @@ class TargetModel:
                 raise TargetError(f"{self.name}: needs at least one {unit!r} unit")
 
     # ------------------------------------------------------------------
-    # Word-length queries
+    # Word-length queries (answered by :class:`WordLengths`)
     # ------------------------------------------------------------------
+    @cached_property
+    def word_lengths(self) -> WordLengths:
+        """What the word-length searches may read of this target."""
+        return WordLengths(self.scalar_wl, tuple(self.simd_widths))
+
     @property
     def supported_wls(self) -> tuple[int, ...]:
         """All word lengths an operation can be implemented at."""
-        return (self.scalar_wl,) + tuple(self.simd_widths)
+        return self.word_lengths.supported_wls
 
     @property
     def max_wl(self) -> int:
         """Maximum supported word length (the Fig. 1a initialization)."""
-        return self.scalar_wl
+        return self.word_lengths.max_wl
 
     def lanes_for_wl(self, wl: int) -> int:
         """SIMD lanes available at word length ``wl`` (1 = scalar only)."""
-        if wl in self.simd_widths:
-            return self.scalar_wl // wl
-        return 1
+        return self.word_lengths.lanes_for_wl(wl)
 
     def group_wl(self, n_elements: int) -> int | None:
-        """Paper eq. (1): max supported ``m`` with ``m*Nelem <= SIMD size``.
-
-        Returns ``None`` when no supported sub-word width can hold a
-        group of ``n_elements`` lanes (the group cannot be SIMDized).
-        """
-        candidates = [
-            wl for wl in self.simd_widths
-            if wl * n_elements <= self.scalar_wl
-        ]
-        return max(candidates) if candidates else None
+        """Paper eq. (1); see :meth:`WordLengths.group_wl`."""
+        return self.word_lengths.group_wl(n_elements)
 
     @property
     def max_group_size(self) -> int:
         """Largest SIMD group the target can hold in one word."""
-        if not self.simd_widths:
-            return 1
-        return self.scalar_wl // min(self.simd_widths)
+        return self.word_lengths.max_group_size
 
     # ------------------------------------------------------------------
     # Cost queries

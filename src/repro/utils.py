@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
 
 __all__ = [
     "db_to_power",
@@ -14,6 +14,7 @@ __all__ = [
     "stable_unique",
     "clamp",
     "ceil_div",
+    "remember",
 ]
 
 T = TypeVar("T")
@@ -76,3 +77,16 @@ def ceil_div(a: int, b: int) -> int:
     if b <= 0:
         raise ValueError(f"divisor must be positive, got {b}")
     return -(-a // b)
+
+
+def remember(memo: dict, key: Hashable, value: object, cap: int) -> None:
+    """Store ``memo[key] = value``, first emptying a ``memo`` that holds
+    ``cap`` entries.
+
+    Unlocked on purpose: the memos sharing this policy hold pure
+    answers, so a thread racing the clear can only compute one twice,
+    never read a wrong one.
+    """
+    if len(memo) >= cap:
+        memo.clear()
+    memo[key] = value

@@ -22,7 +22,7 @@ from repro.fixedpoint.spec import FixedPointSpec
 from repro.ir.optypes import ARITHMETIC_KINDS, OpKind
 from repro.ir.program import Program
 from repro.slp.accuracy_aware import set_group_wl
-from repro.targets.model import TargetModel
+from repro.targets.model import WordLengths
 
 __all__ = ["harmonize_boundary_wls"]
 
@@ -33,7 +33,7 @@ def harmonize_boundary_wls(
     program: Program,
     spec: FixedPointSpec,
     model: AccuracyModel,
-    target: TargetModel,
+    word_lengths: WordLengths,
     constraint_db: float,
     grouped_ops: set[int],
     groups: list | None = None,
@@ -58,7 +58,7 @@ def harmonize_boundary_wls(
         for producer in op.operands:
             consumers.setdefault(producer, []).append(op.opid)
 
-    supported = sorted(target.supported_wls)
+    supported = sorted(word_lengths.supported_wls)
     accepted = 0
     for _ in range(max_passes):
         changed = False
@@ -84,7 +84,7 @@ def harmonize_boundary_wls(
                 spec, program, group.lanes, consumers, supported, current,
                 exclude=set(group.lanes),
             )
-            if wanted is None or wanted not in target.simd_widths:
+            if wanted is None or wanted not in word_lengths.simd_widths:
                 continue
             token = spec.save()
             set_group_wl(spec, program, group.lanes, wanted)

@@ -17,7 +17,7 @@ import numpy as np
 from repro.fixedpoint.spec import FixedPointSpec
 from repro.ir.optypes import OpKind
 from repro.ir.program import Program
-from repro.targets.model import TargetModel
+from repro.targets.model import WordLengths
 
 __all__ = ["WlCostTable", "wl_relative_cost"]
 
@@ -30,7 +30,7 @@ _COSTING_KINDS = frozenset({
 
 
 class WlCostTable:
-    """The WL-relative cost model of one (program, target), built once.
+    """The WL-relative cost model of one (program, word lengths), built once.
 
     Each costing operation contributes ``executions * wl/datapath``: at
     32 bits the full op, at 16 bits half (assuming perfect 2x16
@@ -44,8 +44,8 @@ class WlCostTable:
     same float as a walk over the blocks.
     """
 
-    def __init__(self, program: Program, target: TargetModel) -> None:
-        supported = sorted(target.supported_wls)
+    def __init__(self, program: Program, word_lengths: WordLengths) -> None:
+        supported = sorted(word_lengths.supported_wls)
         costing = [
             (op.opid, float(block.executions))
             for block in program.blocks.values()
@@ -57,7 +57,7 @@ class WlCostTable:
         #: Relative cost by word length; a word length wider than every
         #: supported width is charged at the widest (the last entry).
         self._relative = [
-            next(w for w in supported if w >= wl) / target.scalar_wl
+            next(w for w in supported if w >= wl) / word_lengths.scalar_wl
             for wl in range(supported[-1] + 1)
         ]
 
@@ -72,7 +72,7 @@ class WlCostTable:
 
 
 def wl_relative_cost(
-    program: Program, spec: FixedPointSpec, target: TargetModel
+    program: Program, spec: FixedPointSpec, word_lengths: WordLengths
 ) -> float:
     """One-shot :meth:`WlCostTable.cost`; searches build the table once."""
-    return WlCostTable(program, target).cost(spec)
+    return WlCostTable(program, word_lengths).cost(spec)

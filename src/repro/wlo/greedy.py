@@ -19,7 +19,7 @@ from repro.accuracy.analytical import AccuracyModel
 from repro.errors import WLOError
 from repro.fixedpoint.spec import FixedPointSpec
 from repro.ir.program import Program
-from repro.targets.model import TargetModel
+from repro.targets.model import WordLengths
 from repro.wlo.continuation import apply_warm_start
 from repro.wlo.cost import WlCostTable, wl_relative_cost
 
@@ -42,7 +42,7 @@ def max_minus_one(
     program: Program,
     spec: FixedPointSpec,
     model: AccuracyModel,
-    target: TargetModel,
+    word_lengths: WordLengths,
     constraint_db: float,
     warm_start: dict[int, int] | None = None,
 ) -> GreedyResult:
@@ -56,9 +56,9 @@ def max_minus_one(
     is feasible either way.
     """
     roots = spec.slotmap.roots
-    supported = sorted(target.supported_wls)
+    supported = sorted(word_lengths.supported_wls)
     for root in roots:
-        spec.set_wl(root, target.max_wl)
+        spec.set_wl(root, word_lengths.max_wl)
     if model.violates(spec, constraint_db):
         raise WLOError(
             f"constraint {constraint_db} dB infeasible at maximum word lengths"
@@ -72,7 +72,7 @@ def max_minus_one(
             warm = True
         else:
             spec.revert(token)
-    costs = WlCostTable(program, target)
+    costs = WlCostTable(program, word_lengths)
     moves = 0
     evaluations = 0
     while True:
@@ -103,7 +103,7 @@ def min_plus_one(
     program: Program,
     spec: FixedPointSpec,
     model: AccuracyModel,
-    target: TargetModel,
+    word_lengths: WordLengths,
     constraint_db: float,
     max_moves: int = 10_000,
     warm_start: dict[int, int] | None = None,
@@ -121,7 +121,7 @@ def min_plus_one(
     the cold all-minimum start.
     """
     roots = spec.slotmap.roots
-    supported = sorted(target.supported_wls)
+    supported = sorted(word_lengths.supported_wls)
     warm = False
     if warm_start is not None and apply_warm_start(spec, warm_start, supported):
         if model.violates(spec, constraint_db):
@@ -160,5 +160,5 @@ def min_plus_one(
         spec.set_wl(root, wl)
         moves += 1
     return GreedyResult(
-        wl_relative_cost(program, spec, target), moves, evaluations, warm
+        wl_relative_cost(program, spec, word_lengths), moves, evaluations, warm
     )

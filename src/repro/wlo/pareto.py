@@ -29,7 +29,7 @@ from repro.accuracy.analytical import AccuracyModel
 from repro.errors import WLOError
 from repro.fixedpoint.spec import FixedPointSpec
 from repro.ir.program import Program
-from repro.targets.model import TargetModel
+from repro.targets.model import WordLengths
 from repro.wlo.cost import WlCostTable
 
 __all__ = ["FrontierPoint", "ParetoFrontier", "ParetoResult", "pareto_frontier"]
@@ -98,7 +98,7 @@ def pareto_frontier(
     program: Program,
     spec: FixedPointSpec,
     model: AccuracyModel,
-    target: TargetModel,
+    word_lengths: WordLengths,
 ) -> ParetoFrontier:
     """Walk the full cost/noise frontier in one descending pass.
 
@@ -108,14 +108,14 @@ def pareto_frontier(
     and leaves the cut-off to :meth:`ParetoFrontier.project`.
     """
     roots = spec.slotmap.roots
-    supported = sorted(target.supported_wls)
+    supported = sorted(word_lengths.supported_wls)
 
     def snapshot() -> dict[int, int]:
         return {root: spec.wl(root) for root in roots}
 
-    costs = WlCostTable(program, target)
+    costs = WlCostTable(program, word_lengths)
     for root in roots:
-        spec.set_wl(root, target.max_wl)
+        spec.set_wl(root, word_lengths.max_wl)
     cost = costs.cost(spec)
     noise = model.noise_db(spec)
     frontier = ParetoFrontier([FrontierPoint(noise, cost, snapshot())])

@@ -2,9 +2,15 @@
 
 Every engine shares one calling convention::
 
-    engine(program, spec, model, target, constraint_db) -> stats
+    engine(program, spec, model, word_lengths, constraint_db) -> stats
 
 mutating ``spec`` in place and returning its search statistics.
+``word_lengths`` is the target's
+:class:`~repro.targets.model.WordLengths` (scalar datapath and SIMD
+lane widths), the only target facts a search may read: the ``wlo``
+pass keys its cache on them, so targets sharing a datapath share one
+search, and an engine reaching for another target field fails loudly
+instead of being cached under the wrong key.
 Engines *may* additionally accept a ``warm_start`` keyword (a root →
 word-length assignment seeding the search; see
 :mod:`repro.wlo.continuation`) — the ``wlo`` pipeline pass detects the
@@ -38,7 +44,7 @@ __all__ = [
     "register_wlo_engine",
 ]
 
-#: (program, spec, model, target, constraint_db) -> engine statistics.
+#: (program, spec, model, word_lengths, constraint_db) -> engine statistics.
 WloEngine = Callable[..., Any]
 
 _ENGINES: dict[str, WloEngine] = {

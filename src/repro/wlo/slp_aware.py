@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 from repro.accuracy.analytical import AccuracyModel
 from repro.errors import WLOError
 from repro.fixedpoint.spec import FixedPointSpec
-from repro.ir.deps import build_dependence_graph
 from repro.ir.program import Program
 from repro.slp.accuracy_aware import set_group_wl, slp_round_accuracy_aware
-from repro.slp.benefit import BenefitEstimator
 from repro.slp.candidates import initial_items
 from repro.slp.extraction import (
     SelectionStats,
@@ -30,7 +28,7 @@ from repro.slp.extraction import (
     merge_items,
 )
 from repro.slp.groups import GroupSet
-from repro.targets.model import TargetModel
+from repro.targets.model import WordLengths
 from repro.wlo.boundary import harmonize_boundary_wls
 from repro.wlo.continuation import apply_warm_start
 from repro.wlo.scaling import ScalingStats, optimize_scalings
@@ -90,7 +88,7 @@ def wlo_slp_optimize(
     program: Program,
     spec: FixedPointSpec,
     model: AccuracyModel,
-    target: TargetModel,
+    word_lengths: WordLengths,
     constraint_db: float,
     harmonize: bool = True,
     scaloptim: bool = True,
@@ -119,16 +117,17 @@ def wlo_slp_optimize(
     adopted.
     """
     for root in spec.slotmap.roots:
-        spec.set_wl(root, target.max_wl)
+        spec.set_wl(root, word_lengths.max_wl)
     if model.violates(spec, constraint_db):
         raise WLOError(
             f"accuracy constraint {constraint_db} dB is infeasible at "
-            f"{target.max_wl}-bit word lengths"
+            f"{word_lengths.max_wl}-bit word lengths"
         )
     warm = False
     if warm_start is not None and warm_start.partition_safe:
         token = spec.save()
-        if apply_warm_start(spec, warm_start.wls, sorted(target.supported_wls)):
+        supported = sorted(word_lengths.supported_wls)
+        if apply_warm_start(spec, warm_start.wls, supported):
             # A node-WL assignment alone under-states the seed: SETMAXWL
             # also narrowed the multiply *operand edges* of every group
             # lane (pack-boundary narrowing).  Re-apply it per adopted
@@ -147,7 +146,7 @@ def wlo_slp_optimize(
         items = initial_items(block)
         if warm:
             items = _adopt_items(items, warm_start.groups.get(block.name))
-        if len(items) < 2 or target.max_group_size < 2:
+        if len(items) < 2 or word_lengths.max_group_size < 2:
             # An adopted partition can collapse a tiny block to a single
             # merged item; materialize it instead of dropping the group.
             # (Cold runs only reach here with singletons — empty set.)
@@ -159,12 +158,10 @@ def wlo_slp_optimize(
                 _merge_scaling_stats(outcome.scaling, scaling)
             outcome.groups[block.name] = group_set
             continue
-        deps = build_dependence_graph(block)
-        estimator = BenefitEstimator(program, block)
         while True:
             selected = slp_round_accuracy_aware(
-                program, block, items, deps, target, spec, model,
-                constraint_db, estimator, outcome.selection,
+                program, block, items, word_lengths, spec, model,
+                constraint_db, outcome.selection,
                 accuracy_conflicts=accuracy_conflicts,
             )
             if not selected:
@@ -185,7 +182,7 @@ def wlo_slp_optimize(
         ]
         grouped_ops = {opid for group in all_groups for opid in group.lanes}
         outcome.boundary_moves = harmonize_boundary_wls(
-            program, spec, model, target, constraint_db, grouped_ops,
+            program, spec, model, word_lengths, constraint_db, grouped_ops,
             groups=all_groups,
         )
         # Group word lengths may have moved below their eq. (1) maxima:

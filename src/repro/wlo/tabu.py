@@ -19,7 +19,7 @@ from repro.accuracy.analytical import AccuracyModel
 from repro.errors import WLOError
 from repro.fixedpoint.spec import FixedPointSpec
 from repro.ir.program import Program
-from repro.targets.model import TargetModel
+from repro.targets.model import WordLengths
 from repro.wlo.continuation import apply_warm_start
 from repro.wlo.cost import WlCostTable
 
@@ -72,7 +72,7 @@ def tabu_wlo(
     program: Program,
     spec: FixedPointSpec,
     model: AccuracyModel,
-    target: TargetModel,
+    word_lengths: WordLengths,
     constraint_db: float,
     config: TabuConfig | None = None,
     warm_start: dict[int, int] | None = None,
@@ -96,14 +96,14 @@ def tabu_wlo(
     config = config or TabuConfig()
     slotmap = spec.slotmap
     roots = slotmap.roots
-    supported = sorted(target.supported_wls)
+    supported = sorted(word_lengths.supported_wls)
 
     for root in roots:
-        spec.set_wl(root, target.max_wl)
+        spec.set_wl(root, word_lengths.max_wl)
     if model.violates(spec, constraint_db):
         raise WLOError(
             f"accuracy constraint {constraint_db} dB is infeasible even at "
-            f"{target.max_wl}-bit word lengths"
+            f"{word_lengths.max_wl}-bit word lengths"
         )
     warm = False
     if warm_start is not None:
@@ -118,7 +118,7 @@ def tabu_wlo(
     def snapshot() -> dict[int, int]:
         return {root: spec.wl(root) for root in roots}
 
-    costs = WlCostTable(program, target)
+    costs = WlCostTable(program, word_lengths)
     best_cost = costs.cost(spec)
     best = snapshot()
     tabu_until: dict[int, int] = {}

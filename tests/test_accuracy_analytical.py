@@ -374,6 +374,114 @@ class TestTrialMemo:
         assert model.trial_hits == 0  # every question was evicted in time
 
 
+def _per_class_evaluate(model, spec):
+    """The closed form evaluated one site class at a time (a reference
+    copy of the evaluator before the classes were fused)."""
+    from repro.accuracy.analytical import _moments
+    from repro.fixedpoint import NO_NARROW
+
+    t = model._tables
+    fwl = spec.fwl_vector()
+    iwl = spec.iwl_vector()
+    edge = spec.edge_wl_matrix()
+    var_total = 0.0
+    mean_total = 0.0
+    if t.al_from.size:
+        mean, var = _moments(fwl[t.al_from], fwl[t.al_to], model.quant_mode)
+        var_total += float(np.dot(var, t.al_k2))
+        mean_total += float(np.dot(mean, t.al_k1))
+    if t.me_op.size:
+        f_prod = fwl[t.me_prod]
+        budget = edge[t.me_op, t.me_pos]
+        f_cons = np.where(
+            budget >= NO_NARROW, f_prod,
+            np.minimum(f_prod, budget - iwl[t.me_prod]),
+        )
+        mean, var = _moments(f_prod, f_cons, model.quant_mode)
+        var_total += float(np.dot(var, t.me_k2))
+        mean_total += float(np.dot(mean, t.me_k1))
+    if t.mo_op.size:
+        total = np.zeros(t.mo_op.size, dtype=np.int64)
+        for pos in (0, 1):
+            producers = np.array(
+                [model.program.op(int(o)).operands[pos] for o in t.mo_op],
+                dtype=np.int64,
+            )
+            f_prod = fwl[producers]
+            budget = edge[t.mo_op, pos]
+            total = total + np.where(
+                budget >= NO_NARROW, f_prod,
+                np.minimum(f_prod, budget - iwl[producers]),
+            )
+        mean, var = _moments(total, fwl[t.mo_op], model.quant_mode)
+        var_total += float(np.dot(var, t.mo_k2))
+        mean_total += float(np.dot(mean, t.mo_k1))
+    if t.in_to.size:
+        q = np.ldexp(1.0, -fwl[t.in_to])
+        var = q * q / 12.0
+        var_total += float(np.dot(var, t.in_k2))
+        if model.input_mode is QuantMode.TRUNCATE:
+            mean_total += float(np.dot(-q / 2.0, t.in_k1))
+    power = var_total + mean_total * mean_total
+    if model.include_coeff_error and model._coeff_slots.size:
+        power += model._coeff_power(fwl)
+    return power
+
+
+class TestFusedEvaluator:
+    """One gather and one moments call give every float the per-class
+    evaluation gives."""
+
+    @pytest.mark.parametrize("kernel", [
+        "conv", "dot", "fir", "iir", "sad", "scale_offset",
+    ])
+    def test_random_walks_match_the_per_class_form(self, small_kernels, kernel):
+        from repro.accuracy import AccuracyModel, extract_gains
+        from repro.fixedpoint import FixedPointSpec
+        from repro.ir import OpKind
+
+        program = small_kernels[kernel]
+        slotmap = SlotMap(program)
+        gains = extract_gains(program, slotmap, n_ref_outputs=2)
+        muls = [o.opid for o in program.all_ops() if o.kind is OpKind.MUL]
+        roots = slotmap.roots
+        modes = (QuantMode.TRUNCATE, QuantMode.ROUND)
+        rng = np.random.default_rng(2017)
+        checked = 0
+        for quant_mode in modes:
+            for input_mode in modes:
+                for coeff in (True, False):
+                    model = AccuracyModel(
+                        program, slotmap, gains, quant_mode=quant_mode,
+                        input_mode=input_mode, include_coeff_error=coeff,
+                    )
+                    spec = FixedPointSpec(slotmap)
+                    tokens = [spec.save()]
+                    for _ in range(40):
+                        move = rng.integers(0, 4)
+                        root = int(rng.choice(roots))
+                        if move == 0:
+                            spec.set_wl(root, int(rng.choice([8, 12, 16, 32])))
+                        elif move == 1:
+                            spec.set_fwl(
+                                root, spec.wl(root) - int(rng.integers(-2, 9))
+                            )
+                        elif move == 2 and muls:
+                            spec.set_edge_wl(
+                                int(rng.choice(muls)), int(rng.integers(0, 2)),
+                                int(rng.choice([4, 8, 16, 127])),
+                            )
+                        elif len(tokens) > 1:
+                            spec.revert(tokens[int(rng.integers(0, len(tokens)))])
+                            del tokens[1:]
+                        tokens.append(spec.save())
+                        assert model._evaluate(spec) == _per_class_evaluate(
+                            model, spec
+                        )
+                        checked += 1
+        assert checked == 2 * 2 * 2 * 40
+
+
 class TestSites:
     def test_fir_site_inventory(self, small_fir):
         slotmap = SlotMap(small_fir)

@@ -376,6 +376,40 @@ class TestPassCache:
         assert cache.lookup("p", "k1") == {"x": 1}
         assert cache.lookup("p", "k3") == {"x": 3}
 
+    def test_concurrent_lookups_and_stores(self):
+        """``repro serve`` job threads share the global cache: a store
+        that evicts the key a lookup just found must not break it."""
+        import sys
+        import threading
+
+        cache = PassCache(max_entries=4)
+        errors: list[Exception] = []
+
+        def work(worker: int) -> None:
+            try:
+                for step in range(3000):
+                    key = f"k{(step * (worker + 1)) % 9}"
+                    if cache.lookup("pass", key) is None:
+                        cache.store(key, {"x": step})
+                    cache.count_execution("other")
+            except Exception as error:  # reported by the assert below
+                errors.append(error)
+
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) <= cache.max_entries
+        assert cache.executions("other") == 4 * 3000
+
     def test_timings_report_sources(self, small_fir):
         cache = PassCache()
         target = get_target("xentium")
@@ -390,6 +424,150 @@ class TestPassCache:
         assert set(ANALYSIS_PASS_NAMES) <= cached
         report = warm.timing_report()
         assert "range-analysis" in report and "cached" in report
+
+
+# ----------------------------------------------------------------------
+# Search sharing: the search passes are keyed on the target's word
+# lengths, so targets with one datapath share every search.
+
+SEARCH_PASSES = ("wlo", "wlo-slp", "slp-extract")
+
+
+def _cell(program, target, cache, constraint=-25.0, **overrides):
+    """Both fixed-point flows of one sweep cell, against ``cache``."""
+    baseline = run_flow(
+        "wlo-first", program, target, constraint, cache=cache, **overrides
+    )
+    joint = run_flow(
+        "wlo-slp", program, target, constraint, cache=cache, **overrides
+    )
+    return baseline, joint
+
+
+def _cell_shape(cell):
+    """Everything a cell's numbers come from, comparably."""
+    baseline, joint = cell
+    return [
+        (
+            result.total_cycles, result.noise_db,
+            _group_shape(result.groups), result.spec.state_key(),
+            result.extra["wlo_stats"],
+        )
+        for result in (baseline.scalar, baseline.simd, joint)
+    ]
+
+
+class TestSearchSharing:
+    @pytest.mark.parametrize("first,second", [
+        ("xentium", "st240"), ("vex-4", "vex-1"),
+    ])
+    def test_twin_targets_run_each_search_once(self, small_fir, first, second):
+        shared = PassCache()
+        cells = {
+            name: _cell(small_fir, get_target(name), shared)
+            for name in (first, second)
+        }
+        for name in SEARCH_PASSES:
+            assert shared.executions(name) == 1, name
+            assert shared.hits[name] == 1, name
+        # One initial spec per datapath, asked for by all four flows.
+        assert shared.executions("iwl-assignment") == 1
+        assert shared.hits["iwl-assignment"] == 3
+        for name, cell in cells.items():
+            alone = _cell(small_fir, get_target(name), PassCache())
+            assert _cell_shape(cell) == _cell_shape(alone), name
+
+    def test_sharing_follows_the_word_lengths(self, small_fir):
+        import dataclasses
+
+        base = get_target("xentium")
+        wider = dataclasses.replace(
+            base, name="xentium-wide", issue_width=2 * base.issue_width
+        )
+        quads = dataclasses.replace(
+            base, name="xentium-quads", simd_widths=(16, 8)
+        )
+        cache = PassCache()
+        _cell(small_fir, base, cache)
+        shared = _cell(small_fir, wider, cache)
+        for name in SEARCH_PASSES:
+            assert cache.executions(name) == 1, name
+        assert _cell_shape(shared) == _cell_shape(
+            _cell(small_fir, wider, PassCache())
+        )
+        _cell(small_fir, quads, cache)
+        for name in SEARCH_PASSES:
+            assert cache.executions(name) == 2, name
+
+    def test_cached_specs_are_never_mutated(self, small_fir):
+        cache = PassCache()
+        seen: dict[int, tuple] = {}
+        for target_name in ("xentium", "st240", "vex-4", "vex-1"):
+            for constraint in (-25.0, -45.0):
+                _cell(small_fir, get_target(target_name), cache, constraint)
+                for outputs in list(cache._entries.values()):
+                    spec = outputs.get("spec")
+                    if spec is not None:
+                        seen.setdefault(id(spec), (spec, spec.state_key()))
+        # Per datapath: one initial spec, and one spec per search pass
+        # and constraint.
+        assert len(seen) == 2 * (1 + 2 * 2)
+        for spec, state in seen.values():
+            assert spec.state_key() == state
+
+    def test_returned_specs_are_the_callers_own(self, small_fir):
+        cache = PassCache()
+        baseline, joint = _cell(small_fir, get_target("xentium"), cache)
+        expected = _cell_shape(_cell(small_fir, get_target("st240"), PassCache()))
+        for spec in (baseline.simd.spec, joint.spec):
+            for slot in range(spec.slotmap.n_slots):
+                spec.set_wl(slot, 3)
+        # The twin's searches are cache hits, answered from untouched specs.
+        assert _cell_shape(_cell(small_fir, get_target("st240"), cache)) == expected
+        assert cache.executions("wlo") == cache.executions("wlo-slp") == 1
+
+    def test_warm_panels_stay_per_target(self, small_fir):
+        from repro.wlo import clear_continuations
+
+        def panel(target_name, cache):
+            target = get_target(target_name)
+            return [
+                _cell_shape(_cell(
+                    small_fir, target, cache, constraint,
+                    continuation="warm",
+                ))
+                for constraint in (-45.0, -35.0, -25.0)  # strictest first
+            ]
+
+        clear_continuations()
+        try:
+            shared = PassCache()
+            panel("xentium", shared)
+            after_twin = panel("st240", shared)
+            clear_continuations()
+            alone = panel("st240", PassCache())
+        finally:
+            clear_continuations()
+        assert after_twin == alone
+
+    def test_search_engines_see_only_word_lengths(self, small_fir):
+        from repro.targets import WordLengths
+
+        seen = []
+
+        def spy(program, spec, model, word_lengths, constraint_db):
+            seen.append(word_lengths)
+            return get_wlo_engine("max-1")(
+                program, spec, model, word_lengths, constraint_db
+            )
+
+        register_wlo_engine("test-spy", spy, overwrite=True)
+        target = get_target("vex-4")
+        run_flow(
+            "wlo-first", small_fir, target, -25.0, wlo="test-spy",
+            cache=PassCache(),
+        )
+        assert seen == [WordLengths(32, (16, 8))] == [target.word_lengths]
 
 
 # ----------------------------------------------------------------------

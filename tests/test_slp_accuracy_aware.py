@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.ir import OpKind, build_dependence_graph
+from repro.ir import OpKind
 from repro.slp import (
-    BenefitEstimator,
     initial_items,
     set_group_wl,
     slp_round_accuracy_aware,
@@ -16,13 +15,7 @@ from repro.targets import get_target
 @pytest.fixture()
 def fir_round(fir_context):
     program = fir_context.program
-    block = program.blocks["body"]
-    return (
-        program,
-        block,
-        build_dependence_graph(block),
-        BenefitEstimator(program, block),
-    )
+    return program, program.blocks["body"]
 
 
 class TestSetGroupWl:
@@ -49,25 +42,25 @@ class TestSetGroupWl:
 
 class TestValidityFiltering:
     def test_loose_constraint_keeps_candidates(self, fir_round, fir_context):
-        program, block, deps, estimator = fir_round
+        program, block = fir_round
         spec = fir_context.fresh_spec()
         stats = SelectionStats()
         selected = slp_round_accuracy_aware(
-            program, block, initial_items(block), deps,
-            get_target("xentium"), spec, fir_context.model, -10.0,
-            estimator, stats,
+            program, block, initial_items(block),
+            get_target("xentium").word_lengths, spec, fir_context.model,
+            -10.0, stats,
         )
         assert selected
         assert stats.accuracy_rejections == 0
 
     def test_impossible_constraint_rejects_all(self, fir_round, fir_context):
-        program, block, deps, estimator = fir_round
+        program, block = fir_round
         spec = fir_context.fresh_spec()
         stats = SelectionStats()
         selected = slp_round_accuracy_aware(
-            program, block, initial_items(block), deps,
-            get_target("xentium"), spec, fir_context.model, -120.0,
-            estimator, stats,
+            program, block, initial_items(block),
+            get_target("xentium").word_lengths, spec, fir_context.model,
+            -120.0, stats,
         )
         assert selected == []
         assert stats.accuracy_rejections == stats.candidates_seen
@@ -77,13 +70,13 @@ class TestValidityFiltering:
         )
 
     def test_rejection_reverts_spec(self, fir_round, fir_context):
-        program, block, deps, estimator = fir_round
+        program, block = fir_round
         spec = fir_context.fresh_spec()
         before = spec.fwl_vector().copy()
         slp_round_accuracy_aware(
-            program, block, initial_items(block), deps,
-            get_target("xentium"), spec, fir_context.model, -120.0,
-            estimator,
+            program, block, initial_items(block),
+            get_target("xentium").word_lengths, spec, fir_context.model,
+            -120.0,
         )
         assert (spec.fwl_vector() == before).all()
 
@@ -95,8 +88,6 @@ class TestAccuracyConflicts:
         coexist — the Fig. 1c conflict class."""
         program = fir_context.program
         block = program.blocks["body"]
-        deps = build_dependence_graph(block)
-        estimator = BenefitEstimator(program, block)
         model = fir_context.model
 
         # Noise with exactly one mul pair narrowed:
@@ -114,9 +105,9 @@ class TestAccuracyConflicts:
         spec = fir_context.fresh_spec()
         stats = SelectionStats()
         selected = slp_round_accuracy_aware(
-            program, block, initial_items(block), deps,
-            get_target("xentium"), spec, model, constraint,
-            estimator, stats,
+            program, block, initial_items(block),
+            get_target("xentium").word_lengths, spec, model, constraint,
+            stats,
         )
         assert stats.accuracy_conflicts > 0
         assert not model.violates(spec, constraint)
@@ -126,26 +117,24 @@ class TestAccuracyConflicts:
     def test_disabling_conflicts_changes_outcome(self, fir_context):
         program = fir_context.program
         block = program.blocks["body"]
-        deps = build_dependence_graph(block)
-        estimator = BenefitEstimator(program, block)
         spec = fir_context.fresh_spec()
         stats = SelectionStats()
         slp_round_accuracy_aware(
-            program, block, initial_items(block), deps,
-            get_target("xentium"), spec, fir_context.model, -62.0,
-            estimator, stats, accuracy_conflicts=False,
+            program, block, initial_items(block),
+            get_target("xentium").word_lengths, spec, fir_context.model,
+            -62.0, stats, accuracy_conflicts=False,
         )
         assert stats.accuracy_conflicts == 0
 
 
 class TestSelectionMutatesSpec:
     def test_selected_groups_are_narrowed(self, fir_round, fir_context):
-        program, block, deps, estimator = fir_round
+        program, block = fir_round
         spec = fir_context.fresh_spec()
         selected = slp_round_accuracy_aware(
-            program, block, initial_items(block), deps,
-            get_target("xentium"), spec, fir_context.model, -10.0,
-            estimator,
+            program, block, initial_items(block),
+            get_target("xentium").word_lengths, spec, fir_context.model,
+            -10.0,
         )
         for candidate in selected:
             for opid in candidate.lanes:
