@@ -8,8 +8,14 @@ detection calls it O(candidates^2) times).
 
 from __future__ import annotations
 
+import json
+import os
 import platform
+import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +187,91 @@ def test_bench_fxp_native_micro(runner, results_dir):
     })
     # Bar 2: the proof must pay for itself — >= 3x over object lanes.
     assert speedup >= 3.0
+
+
+#: What a ``repro`` process loads before it computes anything: the CLI,
+#: the Python API and the 84-cell paper sweep plan.  Prints the
+#: modules that must not load, the module count and the peak RSS.
+COLD_START_PROBE = """
+import json, resource, sys
+import repro.cli, repro.api
+plan = repro.api.SweepRequest().validate().plan()
+assert len(plan.requests) == 84, len(plan.requests)
+heavy = sorted(
+    name for name in sys.modules
+    if name.split(".")[0] in ("scipy", "networkx")
+    or name == "numpy.f2py" or name.startswith("numpy.f2py.")
+)
+print(json.dumps({
+    "heavy_modules": heavy,
+    "modules_loaded": len(sys.modules),
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+#: The floor every ``repro`` process pays: the interpreter and numpy.
+NUMPY_PROBE = "import numpy"
+COLD_START_PAIRS = 5
+#: Spawn-time bound of the probe over a bare numpy import.  Both run
+#: in this test, so machine speed cancels; with scipy.signal and
+#: networkx on every start the ratio read about 11.5.
+COLD_START_MAX_RATIO = 5.0
+
+
+def test_bench_cold_start(results_dir):
+    """Spawn cost of a ``repro`` process against ``import numpy``.
+
+    Alternates the two spawns for ``COLD_START_PAIRS`` pairs.  The bars:
+    no scipy, networkx or ``numpy.f2py`` module loads, and the probe
+    spawns in at most ``COLD_START_MAX_RATIO`` times the median of a
+    bare numpy import.
+
+    Deliberately free of the pytest-benchmark fixture so CI can
+    smoke-run it with a bare pytest install.
+    """
+    from conftest import record_bench
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+
+    def spawn(code: str) -> tuple[float, str]:
+        started = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        seconds = time.perf_counter() - started
+        assert result.returncode == 0, result.stderr
+        return seconds, result.stdout
+
+    numpy_seconds, probe_seconds, reports = [], [], []
+    for _ in range(COLD_START_PAIRS):
+        numpy_seconds.append(spawn(NUMPY_PROBE)[0])
+        seconds, out = spawn(COLD_START_PROBE)
+        probe_seconds.append(seconds)
+        reports.append(json.loads(out))
+
+    numpy_median = statistics.median(numpy_seconds)
+    probe_median = statistics.median(probe_seconds)
+    ratio = probe_median / numpy_median
+    heavy = sorted({name for report in reports for name in report["heavy_modules"]})
+    record_bench("cold_start", {
+        "python": platform.python_version(),
+        "pairs": COLD_START_PAIRS,
+        "numpy_import_median_s": round(numpy_median, 3),
+        "import_and_plan_median_s": round(probe_median, 3),
+        "ratio": round(ratio, 2),
+        "max_ratio": COLD_START_MAX_RATIO,
+        "peak_rss_mb": round(max(r["peak_rss_mb"] for r in reports), 1),
+        "modules_loaded": reports[-1]["modules_loaded"],
+        "heavy_modules": heavy,
+    })
+    # Bar 1: nothing a repro process loads imports the test oracles.
+    assert heavy == []
+    # Bar 2: start-up stays within a few bare numpy imports.
+    assert ratio <= COLD_START_MAX_RATIO
 
 
 def test_scheduler_speed(runner, benchmark):

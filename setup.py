@@ -30,7 +30,11 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     package_data={"repro": ["py.typed"]},
-    install_requires=["numpy", "scipy", "networkx"],
-    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
+    # numpy is the only runtime dependency; scipy and networkx are test
+    # oracles for the filter designs and the dependence graph.
+    install_requires=["numpy"],
+    extras_require={
+        "dev": ["pytest", "pytest-benchmark", "hypothesis", "scipy", "networkx"]
+    },
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

@@ -31,6 +31,7 @@ from repro.fixedpoint.fxpinterp import FxpConfig
 from repro.fixedpoint.quantize import OverflowMode, QuantMode, float_to_mantissa
 from repro.fixedpoint.spec import FixedPointSpec
 from repro.ir.block import BasicBlock
+from repro.ir.deps import build_dependence_graph, lexicographic_topological_order
 from repro.ir.index import AffineIndex
 from repro.ir.ops import Operation
 from repro.ir.optypes import OpKind
@@ -425,26 +426,21 @@ def _emission_order(program, block, groups):
     graph and sorting topologically handles every case; group nodes
     are acyclic by SLP construction.
     """
-    import networkx as nx
-
-    from repro.ir.deps import build_dependence_graph
-
-    deps = build_dependence_graph(block)
-
     def node_key(opid: int):
         info = groups.group_of(opid)
         if info is None:
             return ("s", opid)
         return ("g", info[0].gid)
 
-    collapsed = nx.DiGraph()
-    for op in block.ops:
-        collapsed.add_node(node_key(op.opid))
-    for src, dst in deps.graph.edges:
-        a, b = node_key(src), node_key(dst)
-        if a != b:
-            collapsed.add_edge(a, b)
-    order = nx.lexicographical_topological_sort(collapsed)
+    keys = {op.opid: node_key(op.opid) for op in block.ops}
+    order = lexicographic_topological_order(
+        keys.values(),
+        (
+            (keys[src], keys[dst])
+            for src, dst, _ in build_dependence_graph(block).edges()
+            if keys[src] != keys[dst]
+        ),
+    )
     by_gid = {g.gid: g for g in groups}
     return [
         by_gid[key[1]] if key[0] == "g" else program.op(key[1])

@@ -42,14 +42,8 @@ def lower_float_block(
     var_mid: dict[str, int | None] = {}
 
     def order_preds(opid: int) -> tuple[int, ...]:
-        preds = []
-        for pred, _o, data in deps.graph.in_edges(opid, data=True):
-            if data.get("dep") == "data":
-                continue
-            anchor = anchor_mid.get(pred)
-            if anchor is not None:
-                preds.append(anchor)
-        return tuple(preds)
+        anchors = (anchor_mid.get(p) for p in deps.ordering_predecessors(opid))
+        return tuple(a for a in anchors if a is not None)
 
     for op in block.ops:
         kind = op.kind

@@ -67,14 +67,11 @@ class ScalarLowering:
     # ------------------------------------------------------------------
     def order_preds(self, op: Operation) -> tuple[int, ...]:
         """Machine ids enforcing memory/scalar ordering for ``op``."""
-        preds = []
-        for pred, _opid, data in self.deps.graph.in_edges(op.opid, data=True):
-            if data.get("dep") == "data":
-                continue
-            anchor = self.anchor_mid.get(pred)
-            if anchor is not None:
-                preds.append(anchor)
-        return tuple(preds)
+        anchors = (
+            self.anchor_mid.get(pred)
+            for pred in self.deps.ordering_predecessors(op.opid)
+        )
+        return tuple(a for a in anchors if a is not None)
 
     def emit_shift(
         self, source: int | None, amount: int, comment: str

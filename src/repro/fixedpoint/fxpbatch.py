@@ -58,7 +58,7 @@ from repro.ir.batch import BatchExecutorBase, stack_input_columns
 from repro.ir.block import BasicBlock
 from repro.ir.ops import Operation
 from repro.ir.optypes import OpKind
-from repro.ir.program import Program
+from repro.ir.program import Program, flat_index
 from repro.ir.symbols import SymbolKind
 from repro.ir.vectorize import VectorPlan
 
@@ -210,16 +210,16 @@ class BatchFixedPointInterpreter(BatchExecutorBase):
                 m = float_to_mantissa(float(op.value), node_fwl, cfg.const_mode)  # type: ignore[arg-type]
                 m = apply_overflow(m, node_wl, cfg.overflow)
             elif kind is OpKind.LOAD:
-                flat = self._flat_index(op, env)
+                flat = flat_index(self.program, op, env)
                 m = state.arrays[op.array][flat]
-                if np.isscalar(flat) or np.ndim(flat) == 0:
+                if type(flat) is int:
                     m = m.copy()  # detach from later stores into the row
             elif kind is OpKind.STORE:
                 src = op.operands[0]
                 m = self._requantize(values[src], fwls[src], node_fwl,
                                      cfg.quant_mode)
                 m = self._apply_overflow(m, node_wl, cfg.overflow)
-                state.arrays[op.array][self._flat_index(op, env)] = m
+                state.arrays[op.array][flat_index(self.program, op, env)] = m
             elif kind is OpKind.READVAR:
                 m = state.variables[op.var]  # type: ignore[index]
             elif kind is OpKind.WRITEVAR:

@@ -37,7 +37,7 @@ from repro.fixedpoint.quantize import (
 from repro.fixedpoint.spec import FixedPointSpec
 from repro.ir.ops import Operation
 from repro.ir.optypes import OpKind
-from repro.ir.program import BlockRef, LoopNode, Program
+from repro.ir.program import BlockRef, LoopNode, Program, flat_index
 from repro.ir.symbols import SymbolKind
 
 __all__ = [
@@ -162,19 +162,6 @@ class FixedPointInterpreter:
                     self._run_items(item.body, env, state)
                 del env[item.var]
 
-    def _flat_index(self, op: Operation, env: Mapping[str, int]) -> int:
-        decl = self.program.arrays[op.array]  # type: ignore[index]
-        assert op.index is not None
-        coords = [ix.evaluate(env) for ix in op.index]
-        for coord, extent in zip(coords, decl.shape):
-            if not 0 <= coord < extent:
-                raise InterpreterError(
-                    f"{op.kind.value} {op.array}[{coords}] out of bounds"
-                )
-        if decl.rank == 1:
-            return coords[0]
-        return coords[0] * decl.shape[1] + coords[1]
-
     # ------------------------------------------------------------------
     def _run_block(self, block, env: Mapping[str, int], state: "_FxpState") -> None:
         cfg = self.config
@@ -189,12 +176,14 @@ class FixedPointInterpreter:
                 m = float_to_mantissa(float(op.value), node_fwl, cfg.const_mode)  # type: ignore[arg-type]
                 m = apply_overflow(m, node_wl, cfg.overflow)
             elif kind is OpKind.LOAD:
-                m = state.arrays[op.array][self._flat_index(op, env)]  # type: ignore[index]
+                flat = flat_index(self.program, op, env)
+                m = state.arrays[op.array][flat]  # type: ignore[index]
             elif kind is OpKind.STORE:
                 src = op.operands[0]
                 m = requantize(values[src], fwls[src], node_fwl, cfg.quant_mode)
                 m = apply_overflow(m, node_wl, cfg.overflow)
-                state.arrays[op.array][self._flat_index(op, env)] = m  # type: ignore[index]
+                flat = flat_index(self.program, op, env)
+                state.arrays[op.array][flat] = m  # type: ignore[index]
             elif kind is OpKind.READVAR:
                 m = state.variables[op.var]  # type: ignore[index]
             elif kind is OpKind.WRITEVAR:

@@ -30,7 +30,7 @@ from repro.errors import InterpreterError
 from repro.ir.block import BasicBlock
 from repro.ir.ops import Operation
 from repro.ir.optypes import OpKind
-from repro.ir.program import BlockRef, LoopNode, Program
+from repro.ir.program import BlockRef, LoopNode, Program, flat_index
 from repro.ir.symbols import SymbolKind
 from repro.ir.vectorize import VectorPlan, vector_plan
 
@@ -74,8 +74,7 @@ class BatchExecutorBase:
     Subclasses implement ``_run_block`` (the per-op semantics over
     whichever value domain they execute in); the schedule walk — with
     plan-selected loops running as ``arange`` lanes instead of Python
-    iterations — and the (possibly lane-valued) flat indexing are
-    identical for every domain and live here.
+    iterations — is identical for every domain and lives here.
     """
 
     def __init__(self, program: Program, plan: VectorPlan | None = None) -> None:
@@ -98,21 +97,6 @@ class BatchExecutorBase:
                     del env[item.var]
             else:  # pragma: no cover - defensive
                 raise InterpreterError(f"bad schedule item {item!r}")
-
-    def _flat_index(self, op: Operation, env: Mapping):
-        """Flat cell index: an int, or an int array over vector lanes."""
-        decl = self.program.arrays[op.array]  # type: ignore[index]
-        assert op.index is not None
-        coords = [ix.evaluate(env) for ix in op.index]
-        for coord, extent in zip(coords, decl.shape):
-            if np.any((np.asarray(coord) < 0) | (np.asarray(coord) >= extent)):
-                raise InterpreterError(
-                    f"{op.kind.value} {op.array} out of bounds {decl.shape} "
-                    f"(op {op.opid})"
-                )
-        if decl.rank == 1:
-            return coords[0]
-        return coords[0] * decl.shape[1] + coords[1]
 
     def _run_block(self, block: BasicBlock, env: Mapping, state) -> None:
         raise NotImplementedError  # pragma: no cover
@@ -201,15 +185,15 @@ class BatchInterpreter(BatchExecutorBase):
             if kind is OpKind.CONST:
                 result = self._const(op)
             elif kind is OpKind.LOAD:
-                flat = self._flat_index(op, env)
+                flat = flat_index(self.program, op, env)
                 result = state.storage[op.array][flat]
-                if np.isscalar(flat) or np.ndim(flat) == 0:
+                if type(flat) is int:
                     # Basic indexing views the storage row; copy so the
                     # value is immune to later stores into the cell.
                     result = result.copy()
             elif kind is OpKind.STORE:
                 result = values[op.operands[0]]
-                flat = self._flat_index(op, env)
+                flat = flat_index(self.program, op, env)
                 state.storage[op.array][flat] = result
             elif kind is OpKind.READVAR:
                 result = state.var_values[op.var]  # type: ignore[index]

@@ -17,10 +17,10 @@ conservatively assume aliasing.  This is exact for the paper's kernels
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from typing import Hashable, Iterable, Iterator, TypeVar
 
-import networkx as nx
-
+from repro.errors import IRError
 from repro.ir.block import BasicBlock
 from repro.ir.ops import Operation
 from repro.ir.optypes import OpKind
@@ -32,7 +32,10 @@ __all__ = [
     "build_dependence_graph",
     "dependence_graph",
     "is_loop_invariant_load",
+    "lexicographic_topological_order",
 ]
+
+N = TypeVar("N", bound=Hashable)
 
 
 def is_loop_invariant_load(program, op: Operation) -> bool:
@@ -68,21 +71,67 @@ def may_alias(a: Operation, b: Operation) -> bool:
     return True
 
 
-@dataclass
+def lexicographic_topological_order(
+    nodes: Iterable[N], edges: Iterable[tuple[N, N]]
+) -> list[N]:
+    """Topological order of a DAG that always takes the smallest ready node.
+
+    The order ``networkx.lexicographical_topological_sort`` returns.
+    Every edge endpoint must be in ``nodes``; repeated nodes and edges
+    are harmless.  Raises :class:`~repro.errors.IRError` on a cycle.
+    """
+    successors: dict[N, list[N]] = {node: [] for node in nodes}
+    indegree = dict.fromkeys(successors, 0)
+    for src, dst in edges:
+        successors[src].append(dst)
+        indegree[dst] += 1
+    ready = [node for node, count in indegree.items() if count == 0]
+    heapq.heapify(ready)
+    order: list[N] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for succ in successors[node]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                heapq.heappush(ready, succ)
+    if len(order) != len(successors):
+        stuck = len(successors) - len(order)
+        raise IRError(f"dependence cycle: {stuck} nodes never become ready")
+    return order
+
+
 class DependenceGraph:
-    """Dependence DAG of one basic block with reachability queries."""
+    """Dependence DAG of one basic block with reachability queries.
 
-    block: BasicBlock
-    graph: nx.DiGraph
-    _descendants: dict[int, frozenset[int]] = field(default_factory=dict)
+    Nodes are the block's opids; an edge points from the earlier op to
+    the op that must follow it and carries its dependence class
+    (``data``/``memory``/``scalar``).  Per op, an insertion-ordered
+    dict maps each predecessor to its class.  An edge added twice
+    keeps its first position and takes the later class, as
+    ``networkx.DiGraph.add_edge`` updates edge data: a
+    ``setvar(v, getvar(v))`` block adds a ``data`` edge, then a
+    ``scalar`` one, on the same pair.
+    """
 
-    def __post_init__(self) -> None:
-        order = list(nx.topological_sort(self.graph))
-        desc: dict[int, set[int]] = {n: set() for n in order}
-        for node in reversed(order):
-            for succ in self.graph.successors(node):
-                desc[node].add(succ)
-                desc[node] |= desc[succ]
+    def __init__(
+        self, block: BasicBlock, edges: Iterable[tuple[int, int, str]]
+    ) -> None:
+        self.block = block
+        self._pred: dict[int, dict[int, str]] = {op.opid: {} for op in block.ops}
+        self._succ: dict[int, dict[int, str]] = {op.opid: {} for op in block.ops}
+        for src, dst, dep in edges:
+            self._succ[src][dst] = dep
+            self._pred[dst][src] = dep
+        self._order = lexicographic_topological_order(
+            self._succ, ((src, dst) for src, dst, _ in self.edges())
+        )
+        desc: dict[int, set[int]] = {}
+        for node in reversed(self._order):
+            reach = desc[node] = set()
+            for succ in self._succ[node]:
+                reach.add(succ)
+                reach |= desc[succ]
         self._descendants = {n: frozenset(s) for n, s in desc.items()}
 
     def depends(self, later: int, earlier: int) -> bool:
@@ -97,29 +146,26 @@ class DependenceGraph:
         """All ops transitively dependent on ``opid``."""
         return self._descendants.get(opid, frozenset())
 
-    def predecessors(self, opid: int) -> list[int]:
-        return list(self.graph.predecessors(opid))
+    def ordering_predecessors(self, opid: int) -> list[int]:
+        """The memory and scalar predecessors of ``opid``, in edge order."""
+        return [p for p, dep in self._pred[opid].items() if dep != "data"]
+
+    def edges(self) -> Iterator[tuple[int, int, str]]:
+        """Every ``(src, dst, dep)``, by source in block order."""
+        for src, succs in self._succ.items():
+            for dst, dep in succs.items():
+                yield src, dst, dep
 
     def topological_order(self) -> list[int]:
-        """A topological order respecting all dependences."""
-        return list(nx.lexicographical_topological_sort(self.graph))
+        """The topological order that takes the smallest ready opid first."""
+        return list(self._order)
 
 
-def build_dependence_graph(block: BasicBlock) -> DependenceGraph:
-    """Build the dependence DAG of ``block``.
-
-    Nodes are opids; edges point from the earlier op to the op that
-    must follow it.  Edge attribute ``dep`` records the class
-    (``data``/``memory``/``scalar``).
-    """
-    graph = nx.DiGraph()
-    for op in block.ops:
-        graph.add_node(op.opid)
-
+def _dependence_edges(block: BasicBlock) -> Iterator[tuple[int, int, str]]:
     # Data dependences (operand edges).
     for op in block.ops:
         for producer in op.operands:
-            graph.add_edge(producer, op.opid, dep="data")
+            yield producer, op.opid, "data"
 
     # Memory dependences: pairwise over ops touching the same array,
     # ordering any may-aliasing pair that involves a store.
@@ -129,7 +175,7 @@ def build_dependence_graph(block: BasicBlock) -> DependenceGraph:
             if first.kind is OpKind.LOAD and second.kind is OpKind.LOAD:
                 continue
             if may_alias(first, second):
-                graph.add_edge(first.opid, second.opid, dep="memory")
+                yield first.opid, second.opid, "memory"
 
     # Scalar-variable dependences in program order.
     var_ops = [op for op in block.ops if op.kind in (OpKind.READVAR, OpKind.WRITEVAR)]
@@ -142,9 +188,16 @@ def build_dependence_graph(block: BasicBlock) -> DependenceGraph:
             for second in ops[i + 1:]:
                 if first.kind is OpKind.READVAR and second.kind is OpKind.READVAR:
                     continue
-                graph.add_edge(first.opid, second.opid, dep="scalar")
+                yield first.opid, second.opid, "scalar"
 
-    return DependenceGraph(block, graph)
+
+def build_dependence_graph(block: BasicBlock) -> DependenceGraph:
+    """Build the dependence DAG of ``block``.
+
+    Nodes are opids; edges point from the earlier op to the op that
+    must follow it, each with its class (``data``/``memory``/``scalar``).
+    """
+    return DependenceGraph(block, _dependence_edges(block))
 
 
 def dependence_graph(program: Program, block: BasicBlock) -> DependenceGraph:

@@ -27,7 +27,7 @@ from repro.errors import InterpreterError
 from repro.ir.block import BasicBlock
 from repro.ir.ops import Operation
 from repro.ir.optypes import OpKind
-from repro.ir.program import BlockRef, LoopNode, Program
+from repro.ir.program import BlockRef, LoopNode, Program, flat_index
 from repro.ir.symbols import SymbolKind
 
 __all__ = ["ExecutionTrace", "Interpreter", "run_program"]
@@ -192,20 +192,6 @@ class Interpreter:
             else:  # pragma: no cover - defensive
                 raise InterpreterError(f"bad schedule item {item!r}")
 
-    def _flat_index(self, op: Operation, env: Mapping[str, int]) -> int:
-        decl = self.program.arrays[op.array]  # type: ignore[index]
-        assert op.index is not None
-        coords = [ix.evaluate(env) for ix in op.index]
-        for coord, extent in zip(coords, decl.shape):
-            if not 0 <= coord < extent:
-                raise InterpreterError(
-                    f"{op.kind.value} {op.array}[{coords}] out of bounds "
-                    f"{decl.shape} (op {op.opid}, env {dict(env)})"
-                )
-        if decl.rank == 1:
-            return coords[0]
-        return coords[0] * decl.shape[1] + coords[1]
-
     def _run_block(
         self, block: BasicBlock, env: Mapping[str, int], state: "_ExecState"
     ) -> None:
@@ -219,7 +205,7 @@ class Interpreter:
                 if trace is not None:
                     insts[op.opid] = trace.add(op.opid)
             elif kind is OpKind.LOAD:
-                flat = self._flat_index(op, env)
+                flat = flat_index(self.program, op, env)
                 result = float(state.storage[op.array].flat[flat])
                 if trace is not None:
                     owner = int(state.owners[op.array][flat])  # type: ignore[index]
@@ -227,7 +213,7 @@ class Interpreter:
             elif kind is OpKind.STORE:
                 src = op.operands[0]
                 result = values[src]
-                flat = self._flat_index(op, env)
+                flat = flat_index(self.program, op, env)
                 state.storage[op.array].flat[flat] = result
                 if trace is not None:
                     inst = trace.add(op.opid, (insts[src],), (1.0,))

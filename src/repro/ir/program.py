@@ -11,15 +11,17 @@ mutually consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, TypeVar, Union
+from typing import Callable, Iterator, Mapping, TypeVar, Union
 
-from repro.errors import IRError
+import numpy as np
+
+from repro.errors import InterpreterError, IRError
 from repro.ir.block import BasicBlock
 from repro.ir.ops import Operation
 from repro.ir.optypes import OpKind
 from repro.ir.symbols import ArrayDecl, SymbolKind, VarDecl
 
-__all__ = ["BlockRef", "LoopNode", "Program", "block_memo"]
+__all__ = ["BlockRef", "LoopNode", "Program", "block_memo", "flat_index"]
 
 T = TypeVar("T")
 
@@ -199,3 +201,33 @@ def block_memo(
     if found is None:
         found = memos[key] = build(block)
     return found
+
+
+def flat_index(program: Program, op: Operation, env: Mapping):
+    """Flat cell index of memory op ``op`` under the loop bindings ``env``.
+
+    An int when every loop variable is bound to an int; an int array
+    when a vector-lane loop binds an ``arange``.  Raises
+    :class:`~repro.errors.InterpreterError` when a coordinate leaves
+    its extent.  Shared by every executor.
+    """
+    decl = program.arrays[op.array]  # type: ignore[index]
+    assert op.index is not None
+    coords = [ix.evaluate(env) for ix in op.index]
+    for coord, extent in zip(coords, decl.shape):
+        if type(coord) is int:
+            inside = 0 <= coord < extent
+        else:
+            inside = not np.any((coord < 0) | (coord >= extent))
+        if not inside:
+            shown = ", ".join(
+                str(c) if type(c) is int else f"{np.min(c)}..{np.max(c)}"
+                for c in coords
+            )
+            raise InterpreterError(
+                f"op {op.opid}: {op.kind.value} {op.array}[{shown}] out of "
+                f"bounds {decl.shape}"
+            )
+    if decl.rank == 1:
+        return coords[0]
+    return coords[0] * decl.shape[1] + coords[1]

@@ -8,9 +8,7 @@ scheduled exactly once).
 
 from __future__ import annotations
 
-import networkx as nx
-
-from repro.errors import ValidationError
+from repro.errors import IRError, ValidationError
 from repro.ir.deps import build_dependence_graph
 from repro.ir.optypes import OpKind
 from repro.ir.program import BlockRef, LoopNode, Program
@@ -97,6 +95,9 @@ def _check_indices(program: Program) -> None:
 
 def _check_acyclic(program: Program) -> None:
     for block in program.blocks.values():
-        dg = build_dependence_graph(block)
-        if not nx.is_directed_acyclic_graph(dg.graph):
-            raise ValidationError(f"block {block.name!r} has a dependence cycle")
+        try:
+            build_dependence_graph(block)
+        except IRError as exc:
+            raise ValidationError(
+                f"block {block.name!r} has a dependence cycle"
+            ) from exc

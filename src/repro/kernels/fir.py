@@ -12,7 +12,6 @@ to make vector loads possible.
 from __future__ import annotations
 
 import numpy as np
-import scipy.signal
 
 from repro.errors import IRError
 from repro.ir.builder import ProgramBuilder
@@ -23,8 +22,25 @@ __all__ = ["fir", "default_fir_coefficients"]
 
 
 def default_fir_coefficients(n_taps: int = 64) -> np.ndarray:
-    """A unit-DC-gain lowpass (the classic benchmark filter)."""
-    return scipy.signal.firwin(n_taps, 0.25)
+    """A unit-DC-gain lowpass (the classic benchmark filter).
+
+    The windowed-sinc design ``scipy.signal.firwin(n_taps, 0.25)``:
+    cutoff 0.25 of Nyquist, symmetric Hamming window, scaled to unit
+    gain at DC.  Every step follows scipy's own operation order, so
+    the taps are bit-identical to scipy's; ``np.hamming`` is not (it
+    differs in the last bit).
+    """
+    cutoff = 0.25
+    m = np.arange(n_taps, dtype=np.float64) - 0.5 * (n_taps - 1)
+    taps = cutoff * np.sinc(cutoff * m)
+    # The Hamming window as scipy's general_cosine accumulates it.
+    fac = np.linspace(-np.pi, np.pi, n_taps)
+    window = np.zeros(n_taps)
+    for k, weight in enumerate((0.54, 1.0 - 0.54)):
+        window += weight * np.cos(k * fac)
+    taps *= window
+    taps /= np.sum(taps)  # unit gain at DC
+    return taps
 
 
 def fir(

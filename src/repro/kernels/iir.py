@@ -14,7 +14,6 @@ that are always zero, so the filter's response is unchanged.
 from __future__ import annotations
 
 import numpy as np
-import scipy.signal
 
 from repro.errors import IRError
 from repro.ir.builder import ProgramBuilder
@@ -26,9 +25,21 @@ __all__ = ["iir", "default_iir_coefficients"]
 
 
 def default_iir_coefficients(order: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """(b, a) of a stable Butterworth lowpass of the given order."""
-    b, a = scipy.signal.butter(order, 0.25)
-    return np.asarray(b), np.asarray(a)
+    """(b, a) of a stable Butterworth lowpass of the given order.
+
+    The design ``scipy.signal.butter(order, 0.25)``: the analog
+    prototype's poles scaled to the pre-warped cutoff, then the
+    bilinear transform at ``fs = 2``.  Every step follows scipy's own
+    operation order, so both polynomials are bit-identical to scipy's.
+    """
+    fs2 = 4.0  # 2 * fs
+    warped = fs2 * np.tan(np.pi * 0.25 / 2.0)
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    poles = warped * -np.exp(1j * np.pi * m / (2 * order))
+    gain = warped**order * np.real(1.0 / np.prod(fs2 - poles))
+    b = gain * np.poly(-np.ones(order))
+    a = np.poly((fs2 + poles) / (fs2 - poles))
+    return b, a
 
 
 def iir(

@@ -18,6 +18,7 @@ from repro.errors import BackendError, InterpreterError
 from repro.fixedpoint import (
     FORCE_OBJECT_ENV,
     BatchFixedPointInterpreter,
+    FixedPointInterpreter,
     FixedPointSpec,
     FxpConfig,
     OverflowMode,
@@ -28,6 +29,8 @@ from repro.fixedpoint import (
     simulation_ranges,
 )
 from repro.ir import (
+    BatchInterpreter,
+    Interpreter,
     OpKind,
     ProgramBuilder,
     available_backends,
@@ -553,6 +556,83 @@ class TestNativeTier:
         assert fast.tier(spec) == "batch[int64]"
         assert exact.tier(spec) == "batch[object]"
         assert fast.noise_power(spec) == exact.noise_power(spec)
+
+
+def _overrunning_program(lanes: bool):
+    """A loop over ``x[i]`` whose trip is bumped past ``x``'s extent.
+
+    With ``lanes`` the iterations are independent, so the batch
+    executors run them as vector lanes; without, an accumulator
+    carries a dependence and ``i`` stays a Python int.
+    """
+    b = ProgramBuilder("overrun")
+    x = b.input_array("x", (4,), value_range=(-1.0, 1.0))
+    y = b.output_array("y", (4,))
+    acc = b.scalar("acc")
+    i = loop_index("i")
+    with b.loop("i", 4):
+        with b.block("body"):
+            value = b.load(x, i)
+            if not lanes:
+                value = b.add(b.getvar(acc), value)
+                b.setvar(acc, value)
+            b.store(y, i, b.mul(value, b.const(0.5)))
+    program = b.build()
+    spec = FixedPointSpec(SlotMap(program), max_wl=32)
+    program.schedule[0].trip = 5  # i = 4 reads past x's 4 cells
+    return program, spec
+
+
+class TestOutOfBounds:
+    @pytest.mark.parametrize("lanes", [False, True], ids=["scalar", "lanes"])
+    def test_every_executor_raises(self, lanes):
+        program, spec = _overrunning_program(lanes)
+        assert vector_plan(program).is_vectorized(program.schedule[0]) is lanes
+        stimulus = {"x": np.linspace(-0.5, 0.5, 4)}
+        runs = {
+            "float": lambda: Interpreter(program).run(stimulus),
+            "fixed": lambda: FixedPointInterpreter(program, spec).run(stimulus),
+            "batch-float": lambda: BatchInterpreter(program).run([stimulus]),
+            "batch-fixed": lambda: BatchFixedPointInterpreter(
+                program, spec
+            ).run([stimulus]),
+        }
+        for name, run in runs.items():
+            with pytest.raises(InterpreterError) as raised:
+                run()
+            message = str(raised.value)
+            assert "load x[" in message and "out of bounds (4,)" in message, name
+            assert message.startswith("op "), name
+
+
+class TestLoadsAreValues:
+    def test_load_is_immune_to_a_later_store_into_its_cell(self):
+        """A scalar-index LOAD copies the storage row: the stored value
+        must not leak into a value loaded earlier in the block."""
+        b = ProgramBuilder("alias")
+        x = b.input_array("x", (4,), value_range=(-1.0, 1.0))
+        s = b.state_array("s", (1,))
+        y = b.output_array("y", (4,))
+        i = loop_index("i")
+        with b.loop("i", 4):
+            with b.block("body"):
+                old = b.load(s, 0)
+                b.store(s, 0, b.add(old, b.load(x, i)))
+                b.store(y, i, old)
+        program = b.build()
+        assert not vector_plan(program).is_vectorized(program.schedule[0])
+        stimuli = _stimuli(program, seed=5)
+        spec = _spec_for(program)
+        scalar, batch = get_backend("scalar"), get_backend("batch")
+        runs = [
+            (backend.run_float(program, stimuli)
+             + backend.run_fixed(program, spec, stimuli))
+            for backend in (scalar, batch)
+        ]
+        for ref, got in zip(*runs):
+            assert np.array_equal(ref["y"], got["y"])
+        first = scalar.run_float(program, stimuli[:1])[0]["y"]
+        assert first[0] == 0.0 and first[1] == stimuli[0]["x"][0]
 
 
 class TestBatchErrors:

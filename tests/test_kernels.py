@@ -1,5 +1,8 @@
 """Kernel-builder tests: structure, padding, parameter validation."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,42 @@ class TestIirStructure:
     def test_two_tap_loops(self):
         program = iir(n_samples=16, order=10)
         assert set(program.blocks) == {"init", "btaps", "ataps", "reduce"}
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.asarray(values)]
+
+
+class TestDefaultFilterDesigns:
+    """The numpy designs are scipy's, bit for bit."""
+
+    GOLDEN = Path(__file__).parent / "data" / "default_filters.json"
+
+    @pytest.mark.parametrize("n_taps", [8, 16, 32, 64])
+    def test_fir_equals_scipy_firwin(self, n_taps):
+        import scipy.signal
+
+        taps = default_fir_coefficients(n_taps)
+        assert taps.dtype == np.float64
+        assert _hex(taps) == _hex(scipy.signal.firwin(n_taps, 0.25))
+
+    @pytest.mark.parametrize("order", [2, 4, 10])
+    def test_iir_equals_scipy_butter(self, order):
+        import scipy.signal
+
+        b, a = default_iir_coefficients(order)
+        want_b, want_a = scipy.signal.butter(order, 0.25)
+        assert b.dtype == a.dtype == np.float64
+        assert _hex(b) == _hex(want_b)
+        assert _hex(a) == _hex(want_a)
+
+    def test_paper_designs_match_goldens(self):
+        """Pinned without scipy: a numpy or libm change shows here."""
+        golden = json.loads(self.GOLDEN.read_text())
+        assert _hex(default_fir_coefficients(64)) == golden["fir_taps_64"]
+        b, a = default_iir_coefficients(10)
+        assert _hex(b) == golden["iir_order_10"]["b"]
+        assert _hex(a) == golden["iir_order_10"]["a"]
 
 
 class TestConvStructure:

@@ -246,9 +246,7 @@ class TestProgramMemos:
             assert block_slp(program, block) is slp
             assert dependence_graph(program, block) is slp.deps
             fresh = build_dependence_graph(block)
-            assert sorted(slp.deps.graph.edges(data="dep")) == sorted(
-                fresh.graph.edges(data="dep")
-            )
+            assert sorted(slp.deps.edges()) == sorted(fresh.edges())
 
     def test_fresh_programs_and_foreign_blocks_start_cold(self):
         program, twin = BUILDERS["fir"](), BUILDERS["fir"]()
