@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.accuracy.analytical import AccuracyModel
 from repro.errors import WLOError
 from repro.fixedpoint.spec import FixedPointSpec
@@ -73,30 +75,25 @@ def max_minus_one(
         else:
             spec.revert(token)
     costs = WlCostTable(program, word_lengths)
+    current = costs.cost(spec)
+    narrower = {wl: max(w for w in supported if w < wl) for wl in supported[1:]}
     moves = 0
     evaluations = 0
     while True:
-        best: tuple[float, int, int] | None = None
-        for root in roots:
-            narrower = [w for w in supported if w < spec.wl(root)]
-            if not narrower:
-                continue
-            wl = max(narrower)
-            token = spec.save()
-            spec.set_wl(root, wl)
-            evaluations += 1
-            if not model.violates(spec, constraint_db):
-                cost = costs.cost(spec)
-                key = (cost, root, wl)
-                if best is None or key < best:
-                    best = key
-            spec.revert(token)
-        if best is None:
+        move_roots = [root for root in roots if spec.wl(root) in narrower]
+        move_wls = [narrower[spec.wl(root)] for root in move_roots]
+        evaluations += len(move_roots)
+        violated = model.move_violations(spec, move_roots, move_wls, constraint_db)
+        if violated.all():
             break
-        _cost, root, wl = best
-        spec.set_wl(root, wl)
+        move_costs = costs.move_costs(spec, move_roots, move_wls, current)
+        # The moves are in root order, so the first minimum is the
+        # least (cost, root, wl).
+        pick = int(np.argmin(np.where(violated, np.inf, move_costs)))
+        current = float(move_costs[pick])
+        spec.set_wl(move_roots[pick], move_wls[pick])
         moves += 1
-    return GreedyResult(costs.cost(spec), moves, evaluations, warm)
+    return GreedyResult(current, moves, evaluations, warm)
 
 
 def min_plus_one(

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.accuracy.analytical import AccuracyModel
 from repro.errors import WLOError
 from repro.fixedpoint.spec import FixedPointSpec
@@ -56,16 +58,16 @@ class TabuResult:
     warm_start: bool = False
 
 
-def _neighbor_wls(current: int, supported: list[int]) -> list[int]:
-    """Supported word lengths one step away from ``current``."""
-    narrower = [w for w in supported if w < current]
-    wider = [w for w in supported if w > current]
-    moves = []
-    if narrower:
-        moves.append(max(narrower))
-    if wider:
-        moves.append(min(wider))
-    return moves
+def _step_table(supported: list[int]) -> np.ndarray:
+    """The supported word lengths one step narrower and one step wider
+    than each supported word length, indexed by it (0: no such step)."""
+    table = np.zeros((max(supported) + 1, 2), dtype=np.int64)
+    for wl in supported:
+        table[wl] = (
+            max((w for w in supported if w < wl), default=0),
+            min((w for w in supported if w > wl), default=0),
+        )
+    return table
 
 
 def tabu_wlo(
@@ -119,40 +121,41 @@ def tabu_wlo(
         return {root: spec.wl(root) for root in roots}
 
     costs = WlCostTable(program, word_lengths)
-    best_cost = costs.cost(spec)
+    current = best_cost = costs.cost(spec)
     best = snapshot()
-    tabu_until: dict[int, int] = {}
+    root_array = np.array(roots, dtype=np.int64)
+    steps = _step_table(supported)
+    tabu_until = np.zeros(slotmap.n_slots, dtype=np.int64)
     evaluations = 0
     improved = 0
     stall = 0
     iteration = 0
 
     for iteration in range(1, config.max_iterations + 1):
-        best_move: tuple[float, int, int] | None = None
-        for root in roots:
-            current_wl = spec.wl(root)
-            for wl in _neighbor_wls(current_wl, supported):
-                token = spec.save()
-                spec.set_wl(root, wl)
-                evaluations += 1
-                feasible = not model.violates(spec, constraint_db)
-                cost = costs.cost(spec) if feasible else None
-                spec.revert(token)
-                if cost is None:
-                    continue
-                is_tabu = tabu_until.get(root, 0) >= iteration
-                if is_tabu and cost >= best_cost:
-                    continue  # aspiration: tabu only breaks for records
-                key = (cost, root, wl)
-                if best_move is None or key < best_move:
-                    best_move = key
-        if best_move is None:
+        # The neighbourhood in (root, word length) order: roots
+        # ascending, the narrower step before the wider one.
+        step = steps[spec.wl_vector()[root_array]]
+        exists = step > 0
+        move_roots = np.repeat(root_array, 2)[exists.ravel()]
+        move_wls = step[exists]
+        evaluations += move_roots.size
+        violated = model.move_violations(spec, move_roots, move_wls, constraint_db)
+        move_costs = costs.move_costs(spec, move_roots, move_wls, current)
+        # Aspiration: a tabu root moves only to beat the best cost.
+        allowed = ~violated & (
+            (tabu_until[move_roots] < iteration) | (move_costs < best_cost)
+        )
+        if not allowed.any():
             break  # no feasible move at all
-        cost, root, wl = best_move
-        spec.set_wl(root, wl)
+        # The moves are in (root, wl) order, so the first minimum is
+        # the least (cost, root, wl).
+        pick = int(np.argmin(np.where(allowed, move_costs, np.inf)))
+        root = int(move_roots[pick])
+        current = float(move_costs[pick])
+        spec.set_wl(root, int(move_wls[pick]))
         tabu_until[root] = iteration + config.tenure
-        if cost < best_cost - 1e-12:
-            best_cost = cost
+        if current < best_cost - 1e-12:
+            best_cost = current
             best = snapshot()
             improved += 1
             stall = 0

@@ -263,7 +263,8 @@ class TestNoiseMemo:
 
     def test_threads_share_one_model(self, fir_context, monkeypatch):
         """Concurrent job threads (``repro serve``) share one model: its
-        state memo and its trial memo."""
+        state memo, its trial memo, its neighbourhood memo and its
+        coefficient cache."""
         import sys
         import threading
 
@@ -271,23 +272,41 @@ class TestNoiseMemo:
 
         specs = _random_specs(fir_context, 40, seed=11)
         group = (_mul_pairs(fir_context)[0], 8)
+        # Every root to 12 and to 24 bits, against the spec's own noise
+        # level: that splits each neighbourhood, and a move to the width
+        # a root already has lands on the constraint (a recheck).
+        roots = [r for r in fir_context.slotmap.roots for _ in range(2)]
+        wls = [12, 24] * (len(roots) // 2)
+        constraints = [_fresh_model(fir_context).noise_db(s) for s in specs]
+
+        def exact_moves(spec, constraint):
+            verdicts = []
+            for root, wl in zip(roots, wls):
+                token = spec.save()
+                spec.set_wl(root, wl)
+                verdicts.append(_fresh_model(fir_context).violates(spec, constraint))
+                spec.revert(token)
+            return verdicts
+
         expected = [
             (_fresh_model(fir_context).noise_power(s),
-             _fresh_trial(_fresh_model(fir_context), s, [group]))
-            for s in specs
+             _fresh_trial(_fresh_model(fir_context), s, [group]),
+             exact_moves(s, c))
+            for s, c in zip(specs, constraints)
         ]
         apply = _group_trial(fir_context.program, *group)
-        # A small cap makes the threads race the unlocked clears too.
+        # A small cap makes the threads race the unlocked clears too
+        # (the coefficient cache sees 23 distinct keys).
         monkeypatch.setattr(analytical, "_MEMO_CAP", 16)
         shared = _fresh_model(fir_context)
-        results: dict[int, list[tuple[float, float]]] = {}
+        results: dict[int, list[tuple[float, float, list[bool]]]] = {}
 
         def work(worker: int) -> None:
             # Trials mutate their spec on a miss, so each job owns its
             # specs; only the model is shared.
             own = [spec.clone() for spec in specs]
             order = np.random.default_rng(worker).permutation(len(specs))
-            got = [(0.0, 0.0)] * len(specs)
+            got = [(0.0, 0.0, [])] * len(specs)
             for _ in range(5):
                 for index in order:
                     spec = own[index]
@@ -296,6 +315,9 @@ class TestNoiseMemo:
                         shared.trial_noise_power(
                             spec, (spec.state_key(), group), apply
                         ),
+                        shared.move_violations(
+                            spec, roots, wls, constraints[index]
+                        ).tolist(),
                     )
             assert [s.state_key() for s in own] == [
                 s.state_key() for s in specs
@@ -314,6 +336,9 @@ class TestNoiseMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert [results.get(w) for w in range(4)] == [expected] * 4
+        for memo in (shared._memo, shared._trial_memo, shared._move_memo,
+                     shared._coeff_cache):
+            assert len(memo) <= 16
 
 
 class TestTrialMemo:

@@ -1,12 +1,16 @@
-"""Golden: every cell of the cold paper grid.
+"""Golden: every cell of the paper grid, cold and warm.
 
 ``data/paper_grid_cells.json`` holds the outcome payloads of all 84
 cells of ``SweepRequest(no_cache=True)`` (3 kernels × 4 targets × 7
 constraints), recorded before the search layers were memoized and
-indexed.  Those layers must make the same decisions in the same order,
-so every integer field (cycles, groups, search effort) must match
-exactly.  Noise in dB is compared within 1e-9: the closed-form model
-sums with BLAS ``ddot``, whose last ulp may differ across CPUs.
+indexed.  ``data/paper_grid_warm_cells.json`` holds the same grid under
+warm constraint continuation (``continuation=True``), recorded before
+the Tabu neighbourhood was scored in one batched call; it pins the warm
+Tabu path, which the continuation tests check only for cost.  The
+search layers must make the same decisions in the same order, so every
+integer field (cycles, groups, search effort) must match exactly.
+Noise in dB is compared within 1e-9: the closed-form model sums with
+BLAS ``ddot``, whose last ulp may differ across CPUs.
 """
 
 from __future__ import annotations
@@ -18,8 +22,20 @@ import pytest
 
 from repro.api import SweepRequest
 from repro.experiments import ExperimentRunner
+from repro.pipeline.cache import global_pass_cache
+from repro.wlo import clear_continuations
 
-GOLDEN = Path(__file__).parent / "data" / "paper_grid_cells.json"
+DATA = Path(__file__).parent / "data"
+
+#: mode -> (golden file, request).  A warm sweep reads the process-global
+#: continuation store, so the warm case starts from an empty one.
+MODES = {
+    "cold": ("paper_grid_cells.json", SweepRequest(no_cache=True)),
+    "warm": (
+        "paper_grid_warm_cells.json",
+        SweepRequest(no_cache=True, continuation=True),
+    ),
+}
 
 NOISE_FIELDS = ("wlo_first_noise_db", "wlo_slp_noise_db")
 
@@ -29,9 +45,13 @@ def _key(outcome: dict) -> tuple:
     return request["kernel"], request["target"], request["constraint_db"]
 
 
-def test_paper_grid_matches_golden():
-    expected = {_key(o): o for o in json.loads(GOLDEN.read_text())}
-    request = SweepRequest(no_cache=True)
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_paper_grid_matches_golden(mode):
+    golden, request = MODES[mode]
+    expected = {_key(o): o for o in json.loads((DATA / golden).read_text())}
+    if mode == "warm":
+        global_pass_cache().clear()
+        clear_continuations()
     report = ExperimentRunner.from_request(request).submit(request)
     got = {_key(o): o for o in report.outcomes}
     assert len(expected) == 84
