@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.fixedpoint import FixedPointInterpreter
+from repro.accuracy import extract_gains
+from repro.experiments.engine import KernelConfig, kernel_programs
+from repro.fixedpoint import FixedPointInterpreter, SlotMap, analyze_ranges
 from repro.ir import Interpreter, build_dependence_graph, get_backend
 from repro.codegen import lower_scalar_program, lower_simd_program
 from repro.scheduler import schedule_block
@@ -187,6 +189,80 @@ def test_bench_fxp_native_micro(runner, results_dir):
     })
     # Bar 2: the proof must pay for itself — >= 3x over object lanes.
     assert speedup >= 3.0
+
+
+#: Timed rounds per function and paper twin; each reads its median.
+ANALYSIS_PREFIX_ROUNDS = 5
+#: Bound on the traced reference's seconds over ``extract_gains``'s,
+#: summed over the paper twins.  Both run in this test, so machine
+#: speed cancels; it read 3.2-3.5 when the graph replaced the trace.
+ANALYSIS_PREFIX_MIN_RATIO = 2.5
+
+
+def _gain_reference():
+    """The traced reference extraction the tests hold gains to."""
+    tests = str(Path(__file__).resolve().parent.parent / "tests")
+    if tests not in sys.path:
+        sys.path.append(tests)
+    import gain_reference
+
+    return gain_reference
+
+
+def test_bench_analysis_prefix(results_dir):
+    """Gain extraction and range analysis on the paper twins.
+
+    ``extract_gains`` builds the instance graph with numpy and walks it
+    over flat buffers; the baseline is the algorithm it replaced, the
+    tracing interpreter plus one numpy walk per reference output (the
+    tests hold every gain to that reference).  The bar: the summed
+    median seconds of the baseline are at least
+    ``ANALYSIS_PREFIX_MIN_RATIO`` times those of ``extract_gains``.
+
+    Deliberately free of the pytest-benchmark fixture so CI can
+    smoke-run it with a bare pytest install.
+    """
+    from conftest import record_bench
+
+    reference = _gain_reference()
+    config = KernelConfig()
+    kernels: dict[str, dict] = {}
+    for kernel in config.kernel_names:
+        twin = kernel_programs(config, kernel)[1]
+        slotmap = SlotMap(twin)
+        seconds: dict[str, list[float]] = {"traced": [], "gains": [], "ranges": []}
+        runs = {
+            "traced": lambda: reference.traced_adjoints(twin),
+            "gains": lambda: extract_gains(twin, slotmap),
+            "ranges": lambda: analyze_ranges(twin, slotmap),
+        }
+        for _ in range(ANALYSIS_PREFIX_ROUNDS):
+            for name, run in runs.items():
+                started = time.perf_counter()
+                run()
+                seconds[name].append(time.perf_counter() - started)
+        medians = {name: statistics.median(s) for name, s in seconds.items()}
+        kernels[kernel] = {
+            "traced_gains_s": round(medians["traced"], 4),
+            "gains_s": round(medians["gains"], 4),
+            "ranges_s": round(medians["ranges"], 4),
+        }
+
+    traced = sum(k["traced_gains_s"] for k in kernels.values())
+    graph = sum(k["gains_s"] for k in kernels.values())
+    ratio = traced / graph
+    record_bench("analysis_prefix", {
+        "python": platform.python_version(),
+        "rounds": ANALYSIS_PREFIX_ROUNDS,
+        "kernels": kernels,
+        "traced_gains_s": round(traced, 4),
+        "gains_s": round(graph, 4),
+        "ranges_s": round(sum(k["ranges_s"] for k in kernels.values()), 4),
+        "ratio": round(ratio, 2),
+        "min_ratio": ANALYSIS_PREFIX_MIN_RATIO,
+    })
+    # The bar: no per-instance trace, and it shows.
+    assert ratio >= ANALYSIS_PREFIX_MIN_RATIO
 
 
 #: What a ``repro`` process loads before it computes anything: the CLI,

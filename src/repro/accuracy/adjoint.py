@@ -6,14 +6,16 @@ gain with which the site's error reaches the program output:
 (coherent, bias part), where ``h`` is the impulse response from the
 site to the output.
 
-These are extracted *once per program*: run the float interpreter with
-a recorded :class:`~repro.ir.interp.ExecutionTrace`, then back-propagate
-adjoints from a few steady-state output instances.  Because each
-executed instance of a site injects an independent error realization,
-``K2`` is the sum of squared per-instance adjoints, while values that
-are quantized once and reused (array cells, compile-time constants)
-accumulate their adjoints coherently through the trace's def-use links
-— reverse mode gets all of this right with no special cases.
+These are extracted *once per program*: build the program's
+:class:`~repro.ir.instances.InstanceGraph` (every executed instance with
+its operand instances), evaluate it on one random stimulus, then
+back-propagate adjoints from a few steady-state output instances.
+Because each executed instance of a site injects an independent error
+realization, ``K2`` is the sum of squared per-instance adjoints, while
+values that are quantized once and reused (array cells, compile-time
+constants) accumulate their adjoints coherently through the graph's
+def-use links — reverse mode gets all of this right with no special
+cases.
 
 For constants/coefficients the error is deterministic, not white, so
 instead of moments we extract the sensitivity covariance
@@ -27,21 +29,25 @@ literature the paper builds on; for linear kernels it is exact.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import AccuracyError
 from repro.fixedpoint.spec import SlotMap
-from repro.ir.interp import ExecutionTrace, Interpreter
 from repro.ir.optypes import OpKind
 from repro.ir.program import Program
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ir.instances import InstanceGraph
+
 __all__ = ["CoeffEntry", "NoiseGains", "extract_gains"]
 
-#: Trace instances per accumulation step of the per-site gain sums.  It
-#: bounds the step's masks and gathered values to a few hundred KB; a
-#: paper-sized trace has about 60,000 instances per reference output.
+#: Instances per accumulation step of the per-site gain sums.  It bounds
+#: the step's masks and gathered values to a few hundred KB; a
+#: paper-sized program has about 60,000 instances per reference output.
 _GAIN_CHUNK = 4096
 
 
@@ -91,19 +97,42 @@ def _random_inputs(program: Program, rng: np.random.Generator) -> dict[str, np.n
     return inputs
 
 
-def _backpropagate(trace: ExecutionTrace, ref: int) -> np.ndarray:
-    """Adjoint of every instance w.r.t. the value of instance ``ref``."""
-    adj = np.zeros(trace.n_instances, dtype=np.float64)
+def _adjoints(walk: tuple, ref: int) -> list[float]:
+    """Adjoint of every instance w.r.t. the value of instance ``ref``.
+
+    ``walk`` holds each instance's two operand slots and their partials
+    (see :func:`_walk_buffers`).  A visited instance adds to operand 0
+    first, so a value used twice (``x * x``) takes its terms in operand
+    order.  The adjoints are a list: ``+=`` on an ``array('d')`` item
+    boxes and unboxes a float on every step.
+    """
+    first, second, partial_first, partial_second = walk
+    adj = [0.0] * (len(first) + 1)
     adj[ref] = 1.0
-    operands = trace.operands
-    partials = trace.partials
     for i in range(ref, -1, -1):
         a = adj[i]
         if a == 0.0:
             continue
-        for j, p in zip(operands[i], partials[i]):
-            adj[j] += a * p
+        adj[first[i]] += a * partial_first[i]
+        adj[second[i]] += a * partial_second[i]
     return adj
+
+
+def _walk_buffers(graph: InstanceGraph, partials: np.ndarray) -> tuple:
+    """Read-only operand and partial buffers of the reverse walks.
+
+    An absent operand points at an extra last adjoint slot with a zero
+    partial, which no instance reads.  Flat ``array`` buffers hold 8
+    bytes an entry, where lists would hold a boxed number each.
+    """
+    spare = graph.n_instances
+    slots = np.where(graph.operands >= 0, graph.operands, spare)
+    return (
+        array("q", slots[0].tobytes()),
+        array("q", slots[1].tobytes()),
+        array("d", partials[0].tobytes()),
+        array("d", partials[1].tobytes()),
+    )
 
 
 def extract_gains(
@@ -119,28 +148,34 @@ def extract_gains(
     time-invariant kernels they agree, and averaging suppresses edge
     effects of finite analysis length.
     """
+    # Imported on first use: every CLI start loads this module, and the
+    # graph module's compile would add to each start's set-up time.
+    from repro.ir.instances import instance_graph
+
+    if n_ref_outputs < 1:
+        raise AccuracyError(
+            f"n_ref_outputs must be at least 1, got {n_ref_outputs}"
+        )
     slotmap = slotmap or SlotMap(program)
     rng = np.random.default_rng(seed)
-    trace = ExecutionTrace()
-    interpreter = Interpreter(program)
-    interpreter.run(_random_inputs(program, rng), trace=trace)
+    graph = instance_graph(program)
+    values = graph.values(_random_inputs(program, rng))
 
-    if not trace.output_instances:
+    if not graph.output_instances.size:
         raise AccuracyError(
             f"program {program.name!r} produced no output stores"
         )
-    refs = trace.output_instances[-n_ref_outputs:]
+    refs = graph.output_instances[-n_ref_outputs:].tolist()
 
-    # Map pseudo static ids back to their unique creating instance.
-    pseudo_inst: dict[int, int] = {}
-    for inst, static in enumerate(trace.static):
-        if static >= trace.first_pseudo_id:
-            pseudo_inst[static] = inst
-
-    coeff_entries, coeff_cells = _collect_coeff_entries(
-        program, slotmap, trace, pseudo_inst
-    )
-    input_cells = _collect_input_cells(program, trace, pseudo_inst)
+    coeff_entries, coeff_cells = _collect_coeff_entries(program, slotmap, graph)
+    input_cells = {
+        decl.name: np.arange(
+            graph.source[decl.name],
+            graph.source[decl.name] + decl.size,
+            dtype=np.int64,
+        )
+        for decl in program.input_arrays()
+    }
 
     const_ops = [
         op.opid for op in program.all_ops() if op.kind is OpKind.CONST
@@ -150,12 +185,14 @@ def extract_gains(
     n_coeff = len(coeff_entries)
     cov = np.zeros((n_coeff, n_coeff), dtype=np.float64)
 
-    sums = _InstanceGainSums(trace)
+    partials = graph.partials(values)
+    walk = _walk_buffers(graph, partials)
+    sums = _InstanceGainSums(graph, partials)
     input_k2: dict[str, float] = {}
     input_k1: dict[str, float] = {}
 
     for ref in refs:
-        adj = _backpropagate(trace, ref)
+        adj = np.array(_adjoints(walk, ref))
         sums.add(adj, ref)
         for name, cells in input_cells.items():
             cell_adj = adj[cells]
@@ -166,7 +203,7 @@ def extract_gains(
         g = np.zeros(n_coeff, dtype=np.float64)
         for idx, cell in enumerate(coeff_cells):
             if isinstance(cell, int):  # static CONST op: coherent sum
-                g[idx] = _coherent_static_adjoint(trace, adj, cell, ref)
+                g[idx] = _coherent_static_adjoint(graph, adj, cell, ref)
             else:  # pseudo instance id of a coefficient array cell
                 g[idx] = adj[cell[1]]
         cov += np.outer(g, g)
@@ -191,7 +228,7 @@ def extract_gains(
 
 
 class _InstanceGainSums:
-    """Per-site sums of per-instance adjoints over a trace.
+    """Per-site sums of per-instance adjoints over an instance graph.
 
     For every executed instance ``i`` of a static op ``s`` with a
     nonzero adjoint ``a``, node ``s`` gains ``a * a`` (K2) and ``a``
@@ -202,19 +239,12 @@ class _InstanceGainSums:
     the instances would make.
     """
 
-    def __init__(self, trace: ExecutionTrace) -> None:
-        partials = trace.partials
-        n = len(partials)
-        n_static = trace.first_pseudo_id
-        self.arity = max(map(len, partials), default=0)
-        self.static = np.array(trace.static, dtype=np.int32)
-        self.n_partials = np.fromiter(map(len, partials), np.int8, count=n)
-        self.partials = np.zeros((self.arity, n))
-        for pos in range(self.arity):
-            self.partials[pos] = np.fromiter(
-                (p[pos] if len(p) > pos else 0.0 for p in partials),
-                np.float64, count=n,
-            )
+    def __init__(self, graph: InstanceGraph, partials: np.ndarray) -> None:
+        n_static = graph.first_pseudo_id
+        self.arity = int(graph.arity.max(initial=0))
+        self.static = graph.static.astype(np.int32)
+        self.n_partials = graph.arity
+        self.partials = partials[:self.arity]
         self.node_k2 = np.zeros(n_static)
         self.node_k1 = np.zeros(n_static)
         self.node_seen = np.zeros(n_static, dtype=bool)
@@ -258,22 +288,21 @@ class _InstanceGainSums:
 
 
 def _coherent_static_adjoint(
-    trace: ExecutionTrace, adj: np.ndarray, opid: int, ref: int
+    graph: InstanceGraph, adj: np.ndarray, opid: int, ref: int
 ) -> float:
-    """Coherent adjoint sum over all instances of a static op."""
-    static = trace.static
-    total = 0.0
-    for i in range(ref + 1):
-        if static[i] == opid and adj[i] != 0.0:
-            total += adj[i]
-    return total
+    """Coherent adjoint sum over all instances of a static op.
+
+    Summed sequentially in instance order (``cumsum``, not the pairwise
+    ``np.sum`` nor Python's compensated ``sum``), skipping zeros.
+    """
+    insts = graph.op_instances[opid]
+    terms = adj[insts[insts <= ref]]
+    terms = terms[terms != 0.0]
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def _collect_coeff_entries(
-    program: Program,
-    slotmap: SlotMap,
-    trace: ExecutionTrace,
-    pseudo_inst: dict[int, int],
+    program: Program, slotmap: SlotMap, graph: InstanceGraph
 ) -> tuple[list[CoeffEntry], list]:
     """Deterministic values to track: coeff cells, CONSTs, var inits.
 
@@ -286,40 +315,18 @@ def _collect_coeff_entries(
     cells: list = []
     for decl in program.coeff_arrays():
         slot = slotmap.slot_of_symbol(decl.name)
+        first = graph.source[decl.name]
         assert decl.values is not None
         for flat, value in enumerate(decl.values.flat):
-            pseudo = trace.cell_sources.get((decl.name, flat))
-            if pseudo is None:
-                continue  # cell never read
             entries.append(CoeffEntry(slot, float(value), f"{decl.name}[{flat}]"))
-            cells.append(("cell", pseudo_inst[pseudo]))
+            cells.append(("cell", first + flat))
     for op in program.all_ops():
         if op.kind is OpKind.CONST:
             entries.append(CoeffEntry(op.opid, float(op.value), f"%{op.opid}"))  # type: ignore[arg-type]
             cells.append(op.opid)
     for var in program.variables.values():
         if var.init != 0.0:
-            pseudo = trace.cell_sources.get(("$" + var.name, 0))
-            if pseudo is None:
-                continue
             slot = slotmap.slot_of_symbol(var.name)
             entries.append(CoeffEntry(slot, var.init, f"${var.name}"))
-            cells.append(("cell", pseudo_inst[pseudo]))
+            cells.append(("cell", graph.source["$" + var.name]))
     return entries, cells
-
-
-def _collect_input_cells(
-    program: Program,
-    trace: ExecutionTrace,
-    pseudo_inst: dict[int, int],
-) -> dict[str, np.ndarray]:
-    """Instance ids of every input array cell's pseudo source."""
-    result: dict[str, np.ndarray] = {}
-    for decl in program.input_arrays():
-        ids = [
-            pseudo_inst[pseudo]
-            for (name, _flat), pseudo in trace.cell_sources.items()
-            if name == decl.name
-        ]
-        result[decl.name] = np.array(sorted(ids), dtype=np.int64)
-    return result

@@ -106,41 +106,48 @@ def simulation_ranges(
     ``margin`` widens every measured interval relatively (0.5 = half
     again), compensating for extremes the stimuli missed; it costs at
     most one integer bit.  ``backend`` names the evaluation backend the
-    stimuli run on; min/max observation makes every backend's ranges
-    identical, so it is purely a throughput knob.
+    stimuli run on.  ``scalar`` and ``batch`` compute bit-identical
+    values, so they give identical ranges; ``bigfloat`` probes the
+    nearest float64 of its oracle-precision values, which can differ
+    from them in the last bits.  That is why the backend is part of
+    the range-analysis pass signature.
     """
     slotmap = slotmap or SlotMap(program)
     rng = np.random.default_rng(seed)
-    # Running [min, max] per op, in first-observation order; folded into
-    # per-root intervals after the run (min and max are exact, so the
-    # fold equals joining at every observation).
-    extremes: dict[int, list[float]] = {}
-    lowest = np.minimum.reduce
-    highest = np.maximum.reduce
+    # Running elementwise extremes per op, in first-observation order;
+    # reduced to floats and folded into per-root intervals after the
+    # run (min and max are exact, so this equals joining at every
+    # observation).
+    lows: dict[int, np.ndarray] = {}
+    highs: dict[int, np.ndarray] = {}
 
     def observe(opid: int, values) -> None:
         # ``values`` is one scalar (scalar backend) or the whole value
-        # array of the op (batch backend); only min/max matter.
-        vmin = float(lowest(values, axis=None))
-        vmax = float(highest(values, axis=None))
-        found = extremes.get(opid)
-        if found is None:
-            extremes[opid] = [vmin, vmax]
-        else:
-            if vmin < found[0]:
-                found[0] = vmin
-            if vmax > found[1]:
-                found[1] = vmax
+        # array of the op (batch backend).  Its shape repeats from one
+        # execution to the next, except that a variable read may first
+        # see the variable's scalar init.
+        low = lows.get(opid)
+        if low is None:
+            lows[opid] = np.array(values, dtype=np.float64)
+            highs[opid] = np.array(values, dtype=np.float64)
+            return
+        high = highs[opid]
+        try:
+            np.minimum(low, values, out=low)
+            np.maximum(high, values, out=high)
+        except ValueError:  # a wider observation than the first
+            lows[opid] = np.minimum(low, values)
+            highs[opid] = np.maximum(high, values)
 
     get_backend(backend).run_float(
         program, _stimulus_set(program, n_random, rng), range_probe=observe
     )
 
     ranges: dict[int, Interval] = {}
-    for opid, (vmin, vmax) in extremes.items():
+    for opid, low in lows.items():
         root = slotmap.root_of(opid)
         found = ranges.get(root)
-        observed = Interval(vmin, vmax)
+        observed = Interval(float(low.min()), float(highs[opid].max()))
         ranges[root] = observed if found is None else found.join(observed)
     _seed_symbol_ranges(program, slotmap, ranges)
     if margin:

@@ -65,7 +65,7 @@ def flow_code_version() -> str:
 class AnalysisContext:
     """Reusable per-kernel analysis: ranges, noise gains, slot map.
 
-    Building this is the expensive part of a flow (trace + adjoints);
+    Building this is the expensive part of a flow (ranges + adjoints);
     sweeps over accuracy constraints and targets share one context.
 
     The *analysis twin* trick: gains and ranges are extracted from a

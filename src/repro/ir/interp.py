@@ -11,9 +11,10 @@ Two optional hooks support the analyses built on top:
   simulation-based dynamic-range analysis.
 * ``trace`` — when a :class:`ExecutionTrace` is supplied, every
   executed operation becomes an *instance* with links to the instances
-  that produced its operands and the local partial derivatives.  The
-  accuracy package back-propagates adjoints over this trace to obtain
-  per-site noise gains (see ``repro.accuracy.adjoint``).
+  that produced its operands and the local partial derivatives.  Gain
+  extraction (``repro.accuracy.adjoint``) builds the same instances
+  from the loop tree instead (:mod:`repro.ir.instances`); the trace is
+  the reference the tests hold that instance graph and its gains to.
 """
 
 from __future__ import annotations

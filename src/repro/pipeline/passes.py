@@ -108,10 +108,12 @@ class RangeAnalysisPass(Pass):
     benchmark program's slot map (identical numbering).
 
     ``sim_backend`` names the evaluation backend of the simulation
-    path (every backend yields identical ranges — see
-    :mod:`repro.ir.backend`); it is part of the pass signature, so the
-    per-pass cache and the sweep's per-cell cache key cells per
-    backend and can never alias results across backends.
+    path.  ``scalar`` and ``batch`` yield identical ranges; ``bigfloat``
+    can differ in the last bits (see
+    :func:`~repro.fixedpoint.range_analysis.simulation_ranges`).  So
+    it is part of the pass signature: the per-pass cache and the
+    sweep's per-cell cache key cells per backend and can never alias
+    results across backends.
     """
 
     name = "range-analysis"
@@ -141,7 +143,8 @@ class RangeAnalysisPass(Pass):
 
 
 class AdjointGainsPass(Pass):
-    """Noise-gain extraction (trace + adjoints) on the analysis twin."""
+    """Noise-gain extraction (instance graph + adjoints) on the analysis
+    twin."""
 
     name = "adjoint-gains"
     reads = ("program", "analysis_program")

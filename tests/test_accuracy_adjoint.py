@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from gain_reference import assert_same_gains, reference_gains
 from repro.accuracy import adjoint, extract_gains
 from repro.errors import AccuracyError
+from repro.experiments.engine import KernelConfig, kernel_programs
 from repro.fixedpoint import SlotMap
-from repro.ir import ExecutionTrace, Interpreter, OpKind, ProgramBuilder
-from repro.kernels import kernel_names
+from repro.ir import OpKind, ProgramBuilder
+from repro.kernels import fir, kernel_names
 
 
 def _linear_chain():
@@ -114,38 +116,8 @@ class TestErrors:
 def _per_instance_gains(program, n_ref_outputs=4, seed=90210):
     """Node and edge gains summed by a Python loop over every trace
     instance: the reference the vectorized sums must equal exactly."""
-    rng = np.random.default_rng(seed)
-    trace = ExecutionTrace()
-    Interpreter(program).run(adjoint._random_inputs(program, rng), trace=trace)
-    refs = trace.output_instances[-n_ref_outputs:]
-    node_k2, node_k1, edge_k2, edge_k1 = {}, {}, {}, {}
-    for ref in refs:
-        adj = adjoint._backpropagate(trace, ref)
-        for i in range(ref + 1):
-            a = adj[i]
-            if a == 0.0:
-                continue
-            s = trace.static[i]
-            if s < 0 or s >= trace.first_pseudo_id:
-                continue
-            node_k2[s] = node_k2.get(s, 0.0) + a * a
-            node_k1[s] = node_k1.get(s, 0.0) + a
-            parts = trace.partials[i]
-            for pos in range(len(parts)):
-                g = a * parts[pos]
-                key = (s, pos)
-                edge_k2[key] = edge_k2.get(key, 0.0) + g * g
-                edge_k1[key] = edge_k1.get(key, 0.0) + g
-    scale = 1.0 / len(refs)
-    sums = [
-        {k: v * scale for k, v in d.items()}
-        for d in (node_k2, node_k1, edge_k2, edge_k1)
-    ]
-    for op in program.all_ops():
-        if op.kind is OpKind.CONST:
-            sums[0].pop(op.opid, None)
-            sums[1].pop(op.opid, None)
-    return tuple(sums)
+    gains = reference_gains(program, SlotMap(program), n_ref_outputs, seed)
+    return gains.node_k2, gains.node_k1, gains.edge_k2, gains.edge_k1
 
 
 class TestVectorizedInstanceSums:
@@ -165,3 +137,54 @@ class TestVectorizedInstanceSums:
         assert (
             gains.node_k2, gains.node_k1, gains.edge_k2, gains.edge_k1
         ) == expected
+
+
+#: (n_ref_outputs, seed) settings every gain field is checked at.
+REFERENCE_SETTINGS = [(4, 90210), (1, 5), (2, 90210)]
+
+
+class TestEqualsTracedReference:
+    """Every gain field equals the tracing interpreter's, computed live:
+    ``np.dot`` in the input sums adds in a BLAS-kernel-dependent order,
+    so a recorded file would pin one machine's kernel."""
+
+    @pytest.mark.parametrize("n_ref, seed", REFERENCE_SETTINGS)
+    @pytest.mark.parametrize("kernel", ["fir", "iir", "conv"])
+    def test_paper_twins(self, kernel, n_ref, seed):
+        twin = kernel_programs(KernelConfig(), kernel)[1]
+        slotmap = SlotMap(twin)
+        assert_same_gains(
+            extract_gains(twin, slotmap, n_ref_outputs=n_ref, seed=seed),
+            reference_gains(twin, slotmap, n_ref, seed),
+        )
+
+    @pytest.mark.parametrize("n_ref, seed", REFERENCE_SETTINGS)
+    @pytest.mark.parametrize("kernel", kernel_names())
+    def test_small_kernels(self, small_kernels, kernel, n_ref, seed):
+        program = small_kernels[kernel]
+        slotmap = SlotMap(program)
+        assert_same_gains(
+            extract_gains(program, slotmap, n_ref_outputs=n_ref, seed=seed),
+            reference_gains(program, slotmap, n_ref, seed),
+        )
+
+
+class TestReferenceOutputCount:
+    @pytest.mark.parametrize("n_ref", [0, -2])
+    def test_below_one_is_rejected(self, n_ref):
+        program = fir(n_samples=40, n_taps=16)
+        with pytest.raises(AccuracyError, match=f"got {n_ref}"):
+            extract_gains(program, n_ref_outputs=n_ref)
+
+    def test_pass_forwards_the_value(self):
+        from repro.pipeline import AdjointGainsPass, FlowState
+        from repro.targets import get_target
+
+        program = fir(n_samples=40, n_taps=16)
+        state = FlowState.seed(program, get_target("xentium"), -25.0)
+        with pytest.raises(AccuracyError, match="got 0"):
+            AdjointGainsPass(n_ref_outputs=0).run(state)
+
+    def test_more_than_the_outputs_takes_them_all(self):
+        program = fir(n_samples=40, n_taps=16)
+        assert extract_gains(program, n_ref_outputs=100).n_ref_outputs == 40

@@ -284,15 +284,25 @@ class TestMinMaxSemantics:
                 == [repr(float(v)) for v in expected]
 
 
+def _assert_same_ranges(program):
+    scalar = simulation_ranges(program, backend="scalar")
+    batch = simulation_ranges(program, backend="batch")
+    assert scalar.ranges.keys() == batch.ranges.keys()
+    for root, interval in scalar.ranges.items():
+        assert interval.lo == batch.ranges[root].lo
+        assert interval.hi == batch.ranges[root].hi
+
+
 class TestRangeAnalysisParity:
+    """``scalar`` probes one float per op execution, ``batch`` one
+    array; both fold into the same running extremes."""
+
     def test_simulation_ranges_identical_across_backends(self):
-        program = KERNEL_BUILDERS["iir"]()
-        scalar = simulation_ranges(program, backend="scalar")
-        batch = simulation_ranges(program, backend="batch")
-        assert scalar.ranges.keys() == batch.ranges.keys()
-        for root, interval in scalar.ranges.items():
-            assert interval.lo == batch.ranges[root].lo
-            assert interval.hi == batch.ranges[root].hi
+        _assert_same_ranges(KERNEL_BUILDERS["iir"]())
+
+    @pytest.mark.parametrize("kernel", kernel_names())
+    def test_small_kernels_identical_across_backends(self, small_kernels, kernel):
+        _assert_same_ranges(small_kernels[kernel])
 
 
 class TestEvaluatorParity:

@@ -12,7 +12,7 @@ from repro.fixedpoint import (
     range_analysis,
     simulation_ranges,
 )
-from repro.ir import Interpreter, OpKind, get_backend
+from repro.ir import Interpreter, OpKind, ProgramBuilder, get_backend, loop_index
 from repro.kernels import kernel_names
 
 
@@ -124,6 +124,26 @@ class TestRunningExtremes:
         slotmap = SlotMap(program)
         result = simulation_ranges(program, slotmap, backend=backend)
         assert result.ranges == _join_per_observation(program, slotmap, backend)
+
+    @pytest.mark.parametrize("backend", ["scalar", "batch"])
+    def test_widen_past_a_scalar_first_observation(self, backend):
+        """The batch backend's first read of ``acc`` is its scalar init,
+        so ``acc * 2`` is first seen as a scalar and then as arrays."""
+        b = ProgramBuilder("widen")
+        x = b.input_array("x", (4,), value_range=(-1.0, 1.0))
+        y = b.output_array("y", (4,))
+        acc = b.scalar("acc", init=0.25)
+        i = loop_index("i")
+        with b.loop("i", 4):
+            with b.block("body"):
+                doubled = b.mul(b.getvar(acc), b.const(2.0))
+                b.setvar(acc, b.add(doubled, b.load(x, i)))
+                b.store(y, i, b.getvar(acc))
+        program = b.build()
+        slotmap = SlotMap(program)
+        result = simulation_ranges(program, slotmap, backend=backend)
+        assert result.ranges == _join_per_observation(program, slotmap, backend)
+        assert result.range_of(doubled.opid).lo < 0.0
 
 
 class TestAutoDispatch:
