@@ -265,6 +265,96 @@ def test_bench_analysis_prefix(results_dir):
     assert ratio >= ANALYSIS_PREFIX_MIN_RATIO
 
 
+#: Timed rounds per path of the joint-round bench; each reads its median.
+JOINT_ROUND_ROUNDS = 5
+#: Bound on the per-question reference's seconds over the trial tables'
+#: on the conv panel.  Both run in this test, so machine speed cancels;
+#: it read 3.1-3.7 when the tables replaced the trial memo.
+JOINT_ROUND_MIN_RATIO = 2.5
+
+
+def _slp_round_reference():
+    """The per-question joint round the tests hold the tables to."""
+    tests = str(Path(__file__).resolve().parent.parent / "tests")
+    if tests not in sys.path:
+        sys.path.append(tests)
+    import slp_round_reference
+
+    return slp_round_reference
+
+
+def test_bench_joint_round(results_dir):
+    """The conv panel's 14 joint searches (the 7 paper constraints on
+    both datapaths) through trial tables and through the per-question
+    reference round, every run with cold memos.
+
+    The tables evaluate each distinct round once, as one batched
+    closed form, and decide every visit from it; the reference asks
+    each validity and pair check as its own trial, answered from a
+    question-keyed memo (99,197 questions on this panel).  Both must
+    reach the same spec states and outcomes.  The bar: the reference's
+    median seconds are at least ``JOINT_ROUND_MIN_RATIO`` times the
+    tables'.
+    """
+    from conftest import record_bench
+
+    from repro.accuracy import AccuracyModel
+    from repro.experiments.engine import PAPER_CONSTRAINT_GRID, build_context
+    from repro.wlo import wlo_slp_optimize
+
+    reference = _slp_round_reference()
+    context = build_context(KernelConfig(), "conv")
+    program = context.program
+    datapaths = [get_target(t).word_lengths for t in ("xentium", "vex-4")]
+
+    def panel():
+        # Cold memos: a fresh model, and the program's SLP index
+        # dropped (``block_memo`` keeps it on the program object).
+        program.__dict__.pop("_block_memos", None)
+        model = AccuracyModel(program, context.slotmap, context.model.gains)
+        outcomes = []
+        started = time.perf_counter()
+        for word_lengths in datapaths:
+            for constraint in PAPER_CONSTRAINT_GRID:
+                spec = context.fresh_spec(max_wl=word_lengths.max_wl)
+                outcome = wlo_slp_optimize(
+                    program, spec, model, word_lengths, constraint
+                )
+                outcomes.append((spec.state_key(), outcome.n_groups,
+                                 outcome.selection))
+        return time.perf_counter() - started, outcomes, model
+
+    seconds: dict[str, list[float]] = {"tables": [], "reference": []}
+    for _ in range(JOINT_ROUND_ROUNDS):
+        elapsed, outcomes, model = panel()
+        seconds["tables"].append(elapsed)
+        memo = reference.TrialMemo()
+        with memo.installed():
+            elapsed, expected, _ = panel()
+        seconds["reference"].append(elapsed)
+        assert outcomes == expected
+    medians = {name: statistics.median(s) for name, s in seconds.items()}
+    ratio = medians["reference"] / medians["tables"]
+    record_bench("joint_round", {
+        "kernel": "conv",
+        "searches": len(outcomes),
+        "python": platform.python_version(),
+        "rounds": JOINT_ROUND_ROUNDS,
+        "tables_s": round(medians["tables"], 4),
+        "reference_s": round(medians["reference"], 4),
+        "ratio": round(ratio, 2),
+        "min_ratio": JOINT_ROUND_MIN_RATIO,
+        "table_builds": model.table_builds,
+        "table_visits": model.table_visits,
+        "table_rows": model.table_rows,
+        "table_rechecks": model.table_rechecks,
+        "reference_questions": memo.questions,
+        "reference_hits": memo.hits,
+    })
+    # The bar: a round is evaluated once, not a question at a time.
+    assert ratio >= JOINT_ROUND_MIN_RATIO
+
+
 #: What a ``repro`` process loads before it computes anything: the CLI,
 #: the Python API and the 84-cell paper sweep plan.  Prints the
 #: modules that must not load, the module count and the peak RSS.

@@ -26,9 +26,9 @@ trajectory for the engine:
   constraints), guarding that the accuracy model's state-keyed noise
   memo evaluates the closed form at most once per state, that targets
   sharing a datapath run each search once, and that batched
-  neighbourhoods almost never need an exact recheck; it also records
-  the trial memo's hits, the neighbourhood memo's hits and the SLP
-  index's selections.
+  neighbourhoods and trial tables almost never need an exact recheck;
+  it also records the neighbourhood memo's hits, the trial tables'
+  visits and the SLP index's selections.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ CHUNK_OVERHEAD_LIMIT = 2.5
 #: paper-grid sweep at least this much (deterministic: 5,122 -> 1,705).
 WARM_EVALS_FLOOR = 2.5
 
-#: ... and must never cost wall time.  The noise, trial and
-#: neighbourhood memos let a cold sweep share most of its accuracy work
+#: ... and must never cost wall time.  The noise memo, the trial tables
+#: and the neighbourhood memo let a cold sweep share most of its accuracy work
 #: across constraints, so the gain is small (about 1.4-1.5x without the
 #: analysis prefix, about 1.13x with it); the guard only catches a warm
 #: start that became slower than a cold one.
@@ -75,15 +75,17 @@ WARM_SPEEDUP_ROUNDS = 9
 
 #: One accuracy model serves all 28 cells of a kernel, and every search
 #: starts from the same all-max spec, so most noise queries repeat a
-#: state: the cold fir panel evaluates the closed form for 82 distinct
+#: state: the cold fir panel evaluates the closed form for 20 distinct
 #: single states (deterministic), each exactly once.  The Tabu
-#: neighbourhoods are batched rows, counted apart (1,574 single states
-#: when Tabu asked about each move).
-NOISE_MEMO_MAX_EVALUATIONS = 82
+#: neighbourhoods and the joint SLP rounds' trials are batched rows,
+#: counted apart (1,574 single states when Tabu asked about each move,
+#: 82 when the joint rounds asked about each trial).
+NOISE_MEMO_MAX_EVALUATIONS = 20
 
-#: A batched row is re-asked exactly only when its noise lies within
-#: its forward error bound of the constraint; more than this share of
-#: rows means the bound has got loose.
+#: A batched row (a Tabu move or a trial-table row) is re-asked exactly
+#: only when its noise lies within its forward error bound of the
+#: constraint; more than this share of rows means the bound has got
+#: loose.
 MAX_RECHECK_SHARE = 0.01
 
 #: The fir panel's 4 targets have 2 datapaths (2x16; 2x16 + 4x8), so
@@ -345,16 +347,16 @@ def test_bench_noise_memo(results_dir, monkeypatch):
 
     Captures the one accuracy model the fir cells share (the pass cache
     builds it once) and reads its counters after a cold serial sweep of
-    fir over the paper's targets and constraints: accuracy questions
-    (each counted once, whichever memo answers), closed-form
-    evaluations, the joint SLP rounds' trial questions and hits, and
-    the batched neighbourhoods: calls, memo hits, rows and rechecks.
+    fir over the paper's targets and constraints: questions asked of
+    single states, closed-form evaluations, the batched neighbourhoods
+    (calls, memo hits, rows and rechecks) and the joint SLP rounds'
+    trial tables (tables built, visits answered, rows and rechecks).
     The guard is exact: at most ``NOISE_MEMO_MAX_EVALUATIONS`` closed
     forms of single states, no state evaluated twice, ``SEARCH_RUNS``
     runs of each search pass, and at most ``MAX_RECHECK_SHARE`` of the
-    batched rows re-asked.  The hit ratios are recorded only: sharing
-    the searches of twin targets halves the questions, not the
-    evaluations.
+    neighbourhood rows and of the table rows re-asked.  The hit ratios
+    are recorded only: sharing the searches of twin targets halves the
+    questions, not the evaluations.
     """
     models = []
     build_model = AccuracyModelPass.run
@@ -406,6 +408,7 @@ def test_bench_noise_memo(results_dir, monkeypatch):
     assert len(set(evaluated)) == len(evaluated)  # no state twice
     assert search_runs == dict.fromkeys(SEARCH_PASSES, SEARCH_RUNS)
     assert model.batch_rechecks <= MAX_RECHECK_SHARE * model.batch_rows
+    assert model.table_rechecks <= MAX_RECHECK_SHARE * model.table_rows
     hit_ratio = 1.0 - model.miss_count / model.eval_count
 
     _record("noise_memo", {
@@ -418,12 +421,14 @@ def test_bench_noise_memo(results_dir, monkeypatch):
         "noise_misses": model.miss_count,
         "max_evaluations": NOISE_MEMO_MAX_EVALUATIONS,
         "hit_ratio": round(hit_ratio, 3),
-        "trial_questions": model.trial_questions,
-        "trial_hits": model.trial_hits,
         "batch_calls": model.batch_calls,
         "batch_hits": model.batch_hits,
         "batch_rows": model.batch_rows,
         "batch_rechecks": model.batch_rechecks,
+        "table_builds": model.table_builds,
+        "table_visits": model.table_visits,
+        "table_rows": model.table_rows,
+        "table_rechecks": model.table_rechecks,
         "max_recheck_share": MAX_RECHECK_SHARE,
         "search_runs": search_runs,
         "selections_asked": selections["asked"],

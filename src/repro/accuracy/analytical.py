@@ -8,16 +8,22 @@ specification:
             + dc(spec)' C dc(spec)``
 
 Evaluation is vectorized numpy over the site tables, so a call costs
-microseconds — which is what makes the O(candidates^2) accuracy
-conflict detection of the paper's Fig. 1c practical, exactly as
-ID.Fix's generated noise expression did for the original.  A search
-that asks about a whole neighbourhood of single-root moves evaluates
-them as the rows of one matrix (:meth:`AccuracyModel.move_violations`)
-and gets the decisions a per-move loop would.
+microseconds, and :meth:`AccuracyModel.noise_power` memoizes it on the
+spec's state.  The searches ask most of their questions in batches,
+as the rows of one closed-form matrix: a Tabu or ``max-1`` iteration
+its neighbourhood of single-root moves
+(:meth:`AccuracyModel.move_violations`), and a joint SLP round every
+candidate's and every candidate pair's ``SETMAXWL`` trial, which is
+what keeps the O(candidates^2) accuracy conflict detection of the
+paper's Fig. 1c practical (:meth:`AccuracyModel.group_trials`).  Each
+row carries a forward error bound, and a row too close to the
+constraint to decide is re-asked exactly, so every decision is the one
+a question-at-a-time evaluation gives.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
@@ -30,16 +36,32 @@ from repro.fixedpoint.spec import NO_NARROW, FixedPointSpec, SlotMap
 from repro.ir.program import Program
 from repro.utils import power_to_db, remember
 
-__all__ = ["AccuracyModel", "build_accuracy_model"]
+__all__ = ["AccuracyModel", "GroupTrials", "build_accuracy_model"]
 
 #: Most memoized noise states per model, and separately most memoized
-#: trial questions, neighbourhoods and coefficient terms.  The paper
-#: grid touches at most ~5,300 distinct states per kernel; at ~0.5 KB
-#: of key each this caps a long-lived model (``repro serve``) near
-#: 10 MB.  Trial questions of one SLP round share their base-state key,
-#: so each costs far less; a neighbourhood (~1.5 KB) is asked once per
-#: search iteration, and the paper grid holds ~500 of them per kernel.
+#: neighbourhoods and coefficient terms.  At ~0.5 KB of key per state
+#: this caps a long-lived model (``repro serve``) near 10 MB; the cold
+#: paper grid evaluates at most 36 distinct single states per kernel.
+#: A neighbourhood (~1.5 KB) is asked once per search iteration, and
+#: the paper grid holds ~500 of them per kernel.
 _MEMO_CAP = 1 << 14
+
+#: Most trial-table rows one model holds: 2^16 rows of two float64
+#: bounds are 1 MB.  Each table is also charged ``_TABLE_KEY_ROWS`` rows
+#: (1 KB) for its key and bookkeeping: the round's state (0.3-0.5 KB on
+#: the paper kernels) and a small tuple per candidate group, whose lanes
+#: the SLP index already holds.  So the tables of a long-lived model
+#: (``repro serve``) take about 1 MB, and under 2 MB even with keys of
+#: twice their charge.  The cold paper sweep builds 45 tables with
+#: 12,551 rows (9,399 of them on conv's model).  A model that would
+#: pass the cap empties its tables first.
+_TABLE_ROW_CAP = 1 << 16
+_TABLE_KEY_ROWS = 64
+
+#: Most rows the batched closed form evaluates at once: its temporaries
+#: are a few float arrays of rows x sites, so unchunked tables of a
+#: hundred candidates would raise the peak memory of a sweep.
+_ROW_CHUNK = 512
 
 #: Unit roundoff of float64.
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -185,6 +207,7 @@ class AccuracyModel:
         # per sum.
         self._k2 = np.concatenate((t.al_k2, t.me_k2, t.mo_k2, t.in_k2))
         self._k1 = np.concatenate((t.al_k1, t.me_k1, t.mo_k1, t.in_k1))
+        self._k1_abs = np.abs(self._k1)
         self._coeff_slots = np.array(
             [entry.slot for entry in gains.coeff_entries], dtype=np.int64
         )
@@ -192,7 +215,7 @@ class AccuracyModel:
             [entry.value for entry in gains.coeff_entries], dtype=np.float64
         )
         #: Per slot: whether it is the root of a tie group that holds a
-        #: coefficient slot (only a move of such a root changes the
+        #: coefficient slot (only a write to such a root changes the
         #: coefficient term).
         self._coeff_root = np.zeros(slotmap.n_slots, dtype=bool)
         self._coeff_root[slotmap.root[self._coeff_slots]] = True
@@ -203,18 +226,15 @@ class AccuracyModel:
         self._gamma = n_terms * _UNIT_ROUNDOFF / (1.0 - n_terms * _UNIT_ROUNDOFF)
         self._coeff_cache: dict[bytes, float] = {}
         self._memo: dict[bytes, float] = {}
-        self._trial_memo: dict[Hashable, float] = {}
         self._move_memo: dict[Hashable, np.ndarray] = {}
-        #: Every accuracy question, counted once: each :meth:`noise_power`
-        #: call (memo hits included) plus each trial question the trial
-        #: memo answered (a trial miss counts through its
-        #: :meth:`noise_power` call).
+        self._trial_tables: dict[Hashable, GroupTrials] = {}
+        self._table_lock = threading.Lock()
+        #: :meth:`noise_power` calls (memo hits included): every
+        #: question asked of a single state, exact rechecks of batched
+        #: rows included.
         self.eval_count = 0
         #: Calls that missed the memo and evaluated the closed form.
         self.miss_count = 0
-        #: :meth:`trial_noise_power` questions, and those its memo answered.
-        self.trial_questions = 0
-        self.trial_hits = 0
         #: :meth:`move_violations` calls, the neighbourhoods its memo
         #: answered, the rows the batched closed form evaluated, and the
         #: rows too close to the constraint to decide from the matrix
@@ -224,6 +244,13 @@ class AccuracyModel:
         self.batch_hits = 0
         self.batch_rows = 0
         self.batch_rechecks = 0
+        #: The same for :meth:`group_trials`: calls (one per visit of a
+        #: joint SLP round), tables built, their rows, and the rows
+        #: re-asked exactly.
+        self.table_visits = 0
+        self.table_builds = 0
+        self.table_rows = 0
+        self.table_rechecks = 0
 
     # ------------------------------------------------------------------
     def noise_power(self, spec: FixedPointSpec) -> float:
@@ -246,34 +273,6 @@ class AccuracyModel:
             remember(self._memo, key, found, _MEMO_CAP)
         return found
 
-    def trial_noise_power(
-        self,
-        spec: FixedPointSpec,
-        question: Hashable,
-        apply: Callable[[FixedPointSpec], None],
-    ) -> float:
-        """Noise power of ``spec`` after ``apply(spec)``; ``spec`` is kept.
-
-        Memoized on ``question``, which must determine the trial state:
-        callers build it from ``spec.state_key()`` and everything
-        ``apply`` writes, so the answer is a pure function of (model,
-        question) and may be shared like the state memo.  A miss saves
-        the spec, applies the trial, asks :meth:`noise_power` and
-        reverts; a hit does not touch ``spec``.
-        """
-        self.trial_questions += 1
-        found = self._trial_memo.get(question)
-        if found is not None:
-            self.trial_hits += 1
-            self.eval_count += 1
-            return found
-        token = spec.save()
-        apply(spec)
-        found = self.noise_power(spec)
-        spec.revert(token)
-        remember(self._trial_memo, question, found, _MEMO_CAP)
-        return found
-
     def move_violations(
         self,
         spec: FixedPointSpec,
@@ -287,7 +286,7 @@ class AccuracyModel:
         to ``wls[m]``; entry ``m`` of the result is exactly what
         :meth:`violates` answers for ``spec`` after that move, and
         ``spec`` is left as it was.  The moves are evaluated as the
-        rows of one closed-form matrix (:meth:`_move_bounds`), each row
+        rows of one closed-form matrix (:meth:`_row_bounds`), each row
         with a forward error bound on its reordered sums.  A row whose
         bounded noise lies wholly on one side of the constraint is
         decided by the matrix; a row within its bound of the constraint
@@ -303,6 +302,7 @@ class AccuracyModel:
         key = (spec.state_key(), roots.tobytes(), wls.tobytes())
         bounds = self._move_memo.get(key)
         if bounds is None:
+            self.batch_rows += len(roots)
             bounds = self._move_bounds(spec, roots, wls)
             remember(self._move_memo, key, bounds, _MEMO_CAP)
         else:
@@ -317,20 +317,125 @@ class AccuracyModel:
             spec.revert(token)
         return violated
 
+    def group_trials(
+        self,
+        spec: FixedPointSpec,
+        groups: tuple[tuple[tuple[int, ...], int], ...],
+    ) -> GroupTrials:
+        """The trial table of a joint SLP round (paper Fig. 1c).
+
+        ``groups`` are the round's candidates as ``(lanes, wl)``, whose
+        op kinds come from this model's program.  The table holds every
+        candidate's validity trial (``SETMAXWL`` of its group on
+        ``spec``) and every pair's trial (both groups, the first one
+        first) as the rows of one batched closed form
+        (:meth:`_row_bounds`), with per-row error bounds;
+        :meth:`GroupTrials.violations` decides them against a
+        constraint.  ``spec`` is not touched.
+
+        Memoized on ``(spec.state_key(), groups)``: the constraints of a
+        sweep panel replay the same rounds, and the bounds do not
+        depend on the constraint.  The tables a model holds are capped
+        by their rows (``_TABLE_ROW_CAP``).
+        """
+        self.table_visits += 1
+        key = (spec.state_key(), groups)
+        found = self._trial_tables.get(key)
+        if found is None:
+            self.table_builds += 1
+            found = GroupTrials(self, groups, self._group_bounds(spec, groups))
+            self.table_rows += found.bounds.shape[1]
+            # Locked, so the cap holds under job threads; a racing thread
+            # can only build a table twice.
+            with self._table_lock:
+                tables = self._trial_tables
+                held = sum(table.charge for table in tables.values())
+                if held + found.charge > _TABLE_ROW_CAP:
+                    tables.clear()
+                if found.charge <= _TABLE_ROW_CAP:
+                    tables[key] = found
+        return found
+
     def _move_bounds(
         self, spec: FixedPointSpec, roots: np.ndarray, wls: np.ndarray
     ) -> np.ndarray:
-        """dB values of ``P - B`` and ``P + B`` per move, as a (2, M) array.
+        """:meth:`_row_bounds` of single-root moves: row ``m`` is the
+        spec's fwl vector with root ``roots[m]``'s tie group at word
+        length ``wls[m]``."""
+        fwl = spec.fwl_vector()
+        iwl = spec.iwl_vector()
+        edge = spec.edge_wl_matrix()
+        roots = self.slotmap.root[roots]
+        moved = (wls - iwl[roots]).astype(np.int32)
 
-        ``P`` is a row's batched noise power and ``B`` bounds how far it
-        may lie from :meth:`noise_power` of the moved spec.  The site
-        moments of a row are the single state's elementwise floats;
-        only the summation order differs (one matrix-vector product per
-        sum, against per-class ``np.dot`` calls).  With ``V`` the
-        variance sum, ``M`` the mean sum, ``A`` the absolute mean sum
-        and ``C`` the coefficient term, either order errs by at most
-        ``gamma`` times a sum's absolute sum.  Every variance term is
-        ``>= 0`` (``K2`` gains are sums of squares), so ``|dV| <= 2
+        def build(rows: slice):
+            tied = self.slotmap.root == roots[rows, None]
+            return np.where(tied, moved[rows, None], fwl), iwl, edge
+
+        return self._row_bounds(len(roots), build, fwl, self._coeff_root[roots])
+
+    def _group_bounds(
+        self,
+        spec: FixedPointSpec,
+        groups: tuple[tuple[tuple[int, ...], int], ...],
+    ) -> np.ndarray:
+        """:meth:`_row_bounds` of a trial table's rows (see
+        :class:`GroupTrials`): each row is the spec's flat state with
+        one or two groups' :meth:`~FixedPointSpec.group_writes` applied,
+        the later group's writes winning."""
+        count = len(groups)
+        # One trial state per group, and the entries its writes cover.
+        trial = np.repeat(spec.state_vector()[None], count, axis=0)
+        written = np.zeros(trial.shape, dtype=bool)
+        for g, (lanes, wl) in enumerate(groups):
+            writes = spec.group_writes(self.program, lanes)
+            trial[g, writes] = wl
+            written[g, writes] = True
+        # Row r applies group first[r], then group second[r]; a
+        # validity row applies its group twice, which changes nothing.
+        first, second = np.triu_indices(count, 1)
+        first = np.concatenate((np.arange(count), first))
+        second = np.concatenate((np.arange(count), second))
+        # A row changes a coefficient slot only if one of its groups does.
+        fwl = spec.fwl_vector()
+        coeff_fwl = spec.unpack(trial)[0][:, self._coeff_root]
+        coeff = (coeff_fwl != fwl[self._coeff_root]).any(axis=1)
+
+        def build(rows: slice):
+            later = second[rows]
+            return spec.unpack(
+                np.where(written[later], trial[later], trial[first[rows]])
+            )
+
+        return self._row_bounds(
+            first.size, build, fwl, coeff[first] | coeff[second]
+        )
+
+    def _row_bounds(
+        self,
+        count: int,
+        build: Callable[[slice], tuple[np.ndarray, np.ndarray, np.ndarray]],
+        base_fwl: np.ndarray,
+        coeff_rows: np.ndarray,
+    ) -> np.ndarray:
+        """dB values of ``P - B`` and ``P + B`` per row, as a (2, count)
+        array.
+
+        ``build(rows)`` returns the states of a slice of at most
+        ``_ROW_CHUNK`` rows as the ``fwl``, ``iwl`` and ``edge``
+        arguments of :meth:`_site_moments` (each per row or shared);
+        ``base_fwl`` is the fwl vector of the state they vary, whose
+        coefficient term a row shares unless ``coeff_rows`` says it
+        may change a coefficient slot.  ``P`` is a row's batched
+        noise power and ``B`` bounds how far it may lie from
+        :meth:`noise_power` of the row's spec.  The site moments of a
+        row are the single state's elementwise floats; only the
+        summation order differs (one matrix-vector product per sum,
+        against per-class ``np.dot`` calls).  With ``V`` the variance
+        sum, ``M`` the mean sum, ``A`` the absolute mean sum and ``C``
+        the coefficient term, either order errs by at most ``gamma``
+        times a sum's absolute sum.  Every variance term
+        is ``>= 0`` (``K2`` gains are sums of squares), so ``|dV| <= 2
         gamma V`` and ``|dM| <= dM = 2 gamma A`` between the two
         evaluations, and
 
@@ -340,40 +445,32 @@ class AccuracyModel:
         each side and ``2^-40 P`` the dB conversion.  A row with
         ``P - B <= 0`` gets NaN bounds, so it is always re-asked.
         """
-        count = len(roots)
-        self.batch_rows += count
-        roots = self.slotmap.root[roots]
-        fwl = spec.fwl_vector()
-        iwl = spec.iwl_vector()
-        # Row m: the spec's fwl vector with root m's tie group moved.
-        rows = np.where(
-            self.slotmap.root == roots[:, None],
-            (wls - iwl[roots]).astype(np.int32)[:, None],
-            fwl,
-        )
-        mean, var = self._site_moments(rows, iwl, spec.edge_wl_matrix())
-        var_total = var @ self._k2
-        mean_total = mean @ self._k1
-        mean_abs = np.abs(mean) @ np.abs(self._k1)
-        coeff = np.zeros(count)
-        if self.include_coeff_error and self._coeff_slots.size:
-            # Moves of a root without a coefficient slot keep the base
-            # state's term; the others look their own up.
-            coeff[:] = self._coeff_power(fwl)
-            for m in np.flatnonzero(self._coeff_root[roots]).tolist():
-                coeff[m] = self._coeff_power(rows[m])
-        power = var_total + mean_total * mean_total + coeff
-        gamma = self._gamma
-        d_mean = 2.0 * gamma * mean_abs
-        bound = (
-            2.0 * gamma * var_total
-            + d_mean * (2.0 * np.abs(mean_total) + d_mean)
-            + (6.0 * _UNIT_ROUNDOFF + _DB_SLACK) * power
-        )
-        low = power - bound
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bounds = 10.0 * np.log10(np.stack((low, power + bound)))
-        bounds[:, ~(low > 0.0)] = np.nan
+        bounds = np.empty((2, count))
+        coeff_terms = self.include_coeff_error and self._coeff_slots.size
+        base_coeff = self._coeff_power(base_fwl) if coeff_terms else 0.0
+        for start in range(0, count, _ROW_CHUNK):
+            rows = slice(start, start + _ROW_CHUNK)
+            fwl, iwl, edge = build(rows)
+            mean, var = self._site_moments(fwl, iwl, edge)
+            var_total = var @ self._k2
+            mean_total = mean @ self._k1
+            mean_abs = np.abs(mean) @ self._k1_abs
+            coeff = np.full(len(fwl), base_coeff)
+            if coeff_terms:
+                for m in np.flatnonzero(coeff_rows[rows]).tolist():
+                    coeff[m] = self._coeff_power(fwl[m])
+            power = var_total + mean_total * mean_total + coeff
+            gamma = self._gamma
+            d_mean = 2.0 * gamma * mean_abs
+            bound = (
+                2.0 * gamma * var_total
+                + d_mean * (2.0 * np.abs(mean_total) + d_mean)
+                + (6.0 * _UNIT_ROUNDOFF + _DB_SLACK) * power
+            )
+            low = power - bound
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bounds[:, rows] = 10.0 * np.log10(np.stack((low, power + bound)))
+            bounds[:, rows][:, ~(low > 0.0)] = np.nan
         return bounds
 
     def _evaluate(self, spec: FixedPointSpec) -> float:
@@ -401,20 +498,22 @@ class AccuracyModel:
         self, fwl: np.ndarray, iwl: np.ndarray, edge: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Quantization means and variances of every site (ALIGN,
-        MUL_EDGE, MUL_OUT, INPUT along the last axis), for one fwl vector
-        or for a matrix of them (one state per row; ``iwl`` and ``edge``
-        are shared).  All of it is elementwise, so a row's floats do not
-        depend on the other rows.
+        MUL_EDGE, MUL_OUT, INPUT along the last axis), for one state or
+        for a matrix of them (one state per row).  ``fwl`` and ``iwl``
+        are per-slot vectors and ``edge`` an (n_ops, 2) edge matrix, or
+        a stack of them per row; a single one is shared by every row.
+        All of it is elementwise, so a row's floats do not depend on the
+        other rows.
         """
         t = self._tables
         # Fractional bits each multiply consumes its operands at: the
         # producer's, narrowed to the edge word length when one is set.
         f_prod = fwl[..., self._edge_prod]
-        budget = edge[self._edge_op, self._edge_pos]
+        budget = edge[..., self._edge_op, self._edge_pos]
         f_cons = np.where(
             budget >= NO_NARROW,
             f_prod,
-            np.minimum(f_prod, budget - iwl[self._edge_prod]),
+            np.minimum(f_prod, budget - iwl[..., self._edge_prod]),
         )
         n_me, n_mo = t.me_op.size, t.mo_op.size
         exact_product = f_cons[..., n_me:n_me + n_mo] + f_cons[..., n_me + n_mo:]
@@ -502,6 +601,82 @@ class AccuracyModel:
             return total, int(fwl[site.opid])
         # INPUT
         return 10 ** 7, int(fwl[site.to_slot])
+
+
+class GroupTrials:
+    """The trial table of one joint SLP round (see
+    :meth:`AccuracyModel.group_trials`).
+
+    Row ``i < K`` of ``bounds`` is candidate group ``i``'s validity
+    trial; the rows after it are the pair trials ``(i, j)``, ``i < j``,
+    in row-major order.  Each row holds the dB bounds
+    :meth:`AccuracyModel._row_bounds` computed, or, once a visit has
+    re-asked it, its exact dB twice.  Tables are shared by every visit
+    of the round, across constraints and threads: a recheck only ever
+    narrows a row to the value inside its bounds.
+    """
+
+    __slots__ = ("model", "groups", "bounds")
+
+    def __init__(
+        self,
+        model: AccuracyModel,
+        groups: tuple[tuple[tuple[int, ...], int], ...],
+        bounds: np.ndarray,
+    ) -> None:
+        self.model = model
+        self.groups = groups
+        self.bounds = bounds
+
+    @property
+    def charge(self) -> int:
+        """Rows this table counts against ``_TABLE_ROW_CAP``."""
+        return self.bounds.shape[1] + _TABLE_KEY_ROWS
+
+    def violations(
+        self,
+        spec: FixedPointSpec,
+        constraint_db: float,
+        first: np.ndarray | None = None,
+        second: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Whether each validity trial (``first`` and ``second``
+        omitted), or each pair trial ``(first[p], second[p])`` with
+        ``first[p] < second[p]``, exceeds ``constraint_db``.
+
+        Entry for entry, this is ``power_to_db(noise_power(trial)) >
+        constraint_db`` of the trial on ``spec``, the state the table
+        was built for.  A row whose bounds straddle the constraint is
+        re-asked exactly: ``spec`` is saved, takes the trial's
+        ``SETMAXWL`` writes and is reverted, and the row keeps the
+        exact dB for later visits.
+        """
+        count = len(self.groups)
+        if first is None:
+            first = second = rows = np.arange(count)
+        else:
+            rows = count + first * (2 * count - first - 3) // 2 + second - 1
+        low, high = self.bounds[:, rows]
+        violated = low > constraint_db
+        undecided = ~violated & ~(high <= constraint_db)
+        for m in np.flatnonzero(undecided).tolist():
+            exact = self._recheck(spec, int(first[m]), int(second[m]))
+            self.bounds[:, rows[m]] = exact
+            violated[m] = exact > constraint_db
+        return violated
+
+    def _recheck(self, spec: FixedPointSpec, first: int, second: int) -> float:
+        """The exact dB of the trial that applies group ``first``, then
+        group ``second`` (a validity trial applies its group twice,
+        which changes nothing)."""
+        model = self.model
+        model.table_rechecks += 1
+        token = spec.save()
+        for lanes, wl in (self.groups[first], self.groups[second]):
+            spec.write_all(spec.group_writes(model.program, lanes), wl)
+        exact = model.noise_db(spec)
+        spec.revert(token)
+        return exact
 
 
 def build_accuracy_model(

@@ -172,6 +172,31 @@ class FixedPointSpec:
             self._journal.append((index, old))
             self._state[index] = value
 
+    def group_writes(self, program: Program, lanes: tuple[int, ...]) -> list[int]:
+        """Buffer indices the paper's ``SETMAXWL`` writes for a group.
+
+        Each lane's tie-group word length, then, for a multiply lane,
+        both of its operand-edge word lengths.  ``program`` supplies the
+        op kinds and must share op ids with the slot map's program.
+        Applied to this spec by :meth:`write_all`, or to copies of
+        :meth:`state_vector` by a batched evaluator.
+        """
+        writes = []
+        for opid in lanes:
+            writes.append(self._root[opid])
+            if program.op(opid).kind is OpKind.MUL:
+                edge = self._edge_base + 2 * opid
+                writes += (edge, edge + 1)
+        return writes
+
+    def write_all(self, indices: list[int], value: int) -> None:
+        """Journaled write of ``value`` to every buffer index (word
+        lengths or edge word lengths, as :meth:`group_writes` lists)."""
+        if value < 1:
+            raise FixedPointError(f"word length must be >= 1, got {value}")
+        for index in indices:
+            self._write(index, value)
+
     # ------------------------------------------------------------------
     # MUL operand-edge consumption word lengths
     # ------------------------------------------------------------------
@@ -240,6 +265,23 @@ class FixedPointSpec:
         n_ops = self.slotmap.n_ops
         edges = self._view(self._edge_base, 2 * n_ops).reshape(n_ops, 2)
         return edges.astype(np.int32)
+
+    def state_vector(self) -> np.ndarray:
+        """A copy of the flat buffer as an int16 array."""
+        return self._view(0, len(self._state)).copy()
+
+    def unpack(
+        self, states: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-row :meth:`fwl_vector`, :meth:`iwl_vector` and
+        :meth:`edge_wl_matrix` (int32) of a matrix of flat buffer states
+        of this slot map, one state per row."""
+        n = self._iwl_base
+        root = self.slotmap.root
+        iwl = states[:, n:2 * n][:, root].astype(np.int32)
+        fwl = states[:, :n][:, root] - iwl
+        edges = states[:, self._edge_base:].astype(np.int32)
+        return fwl, iwl, edges.reshape(len(states), self.slotmap.n_ops, 2)
 
     def state_key(self) -> bytes:
         """The exact format state as raw bytes, for memo keys.

@@ -13,24 +13,30 @@ The joint algorithm's inner engine.  Differences from plain SLP:
   violating the constraint conflict exactly like structural conflicts
   (lines 14-25).
 
-Every check is a trial on the round's spec, asked through the accuracy
-model's trial memo: the 7 constraints of a panel replay the same rounds
-from the same states, so most questions repeat.  Candidates, structural
-conflicts and the selection come from the block's
-:class:`~repro.slp.extraction.BlockSlp` for the same reason.
+Every check is a trial on the round's spec: ``SETMAXWL`` of one
+candidate group (validity) or of two (a pair), then ``EVALACC``.  The
+accuracy model evaluates all of a round's trials at once, as the rows
+of one trial table (:meth:`~repro.accuracy.AccuracyModel.group_trials`)
+memoized on the round's state and candidates, and each visit decides
+its checks against its own constraint from the table: the 7
+constraints of a panel replay the same rounds from the same states.
+Candidates, structural conflicts and the selection come from the
+block's :class:`~repro.slp.extraction.BlockSlp` for the same reason.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
+import numpy as np
+
 from repro.accuracy.analytical import AccuracyModel
 from repro.fixedpoint.spec import FixedPointSpec
 from repro.ir.block import BasicBlock
-from repro.ir.optypes import OpKind
 from repro.ir.program import Program
 from repro.slp.candidates import Candidate, PackItem
 from repro.slp.extraction import SelectionStats, block_slp
 from repro.targets.model import WordLengths
-from repro.utils import power_to_db
 
 __all__ = ["set_group_wl", "slp_round_accuracy_aware"]
 
@@ -46,13 +52,11 @@ def set_group_wl(
     Every lane node is narrowed to ``wl`` (keeping its range-derived
     ``iwl``, so only precision is traded); multiply lanes additionally
     record that their operands are consumed through ``wl``-bit lanes,
-    which the accuracy model prices as pack-boundary narrowing.
+    which the accuracy model prices as pack-boundary narrowing.  The
+    writes are :meth:`~repro.fixedpoint.FixedPointSpec.group_writes`,
+    which the trial tables apply to their rows too.
     """
-    for opid in lanes:
-        spec.set_wl(opid, wl)
-        if program.op(opid).kind is OpKind.MUL:
-            spec.set_edge_wl(opid, 0, wl)
-            spec.set_edge_wl(opid, 1, wl)
+    spec.write_all(spec.group_writes(program, lanes), wl)
 
 
 def slp_round_accuracy_aware(
@@ -78,48 +82,42 @@ def slp_round_accuracy_aware(
     if stats is not None:
         stats.rounds += 1
         stats.candidates_seen += len(candidates)
-
-    # A trial's state is a function of the round's base state and the
-    # (lanes, wl) groups applied in order: lane op kinds come from the
-    # model's program, which shares op ids with ``program``.  So the
-    # question (base, group, ...) determines the answer.
-    base = spec.state_key()
-
-    def violates(*groups: tuple[tuple[int, ...], int]) -> bool:
-        """EVALACC on the round's spec with ``groups`` applied."""
-
-        def apply(trial: FixedPointSpec) -> None:
-            for lanes, wl in groups:
-                set_group_wl(trial, program, lanes, wl)
-
-        power = model.trial_noise_power(spec, (base, *groups), apply)
-        return power_to_db(power) > constraint_db
+    trials = model.group_trials(
+        spec, tuple((candidate.lanes, candidate.wl) for candidate in candidates)
+    )
 
     # --- Candidates Extraction: eliminate accuracy-invalid ones -------
-    valid: list[Candidate] = []
-    for candidate in candidates:
-        if violates((candidate.lanes, candidate.wl)):
-            if stats is not None:
-                stats.accuracy_rejections += 1
-        else:
-            valid.append(candidate)
-    candidates = valid
+    valid = np.flatnonzero(~trials.violations(spec, constraint_db))
+    if stats is not None:
+        stats.accuracy_rejections += len(candidates) - valid.size
+    candidates = [candidates[i] for i in valid.tolist()]
 
     # --- Conflicts Detection ------------------------------------------
     conflicts = slp.conflicts(candidates)
     if stats is not None:
         stats.structural_conflicts += len(conflicts)
-    if accuracy_conflicts:
-        groups = [(candidate.lanes, candidate.wl) for candidate in candidates]
-        for i in range(len(candidates)):
-            for j in range(i + 1, len(candidates)):
-                pair = frozenset((i, j))
-                if pair in conflicts:  # structural: no accuracy check
-                    continue
-                if violates(groups[i], groups[j]):
-                    conflicts.add(pair)
-                    if stats is not None:
-                        stats.accuracy_conflicts += 1
+    if accuracy_conflicts and len(candidates) > 1:
+        # Every pair of valid candidates without a structural conflict,
+        # as positions in the valid list; a structural conflict needs
+        # no accuracy check.
+        ends = np.fromiter(
+            chain.from_iterable(conflicts), np.intp, 2 * len(conflicts)
+        ).reshape(-1, 2)
+        structural = np.zeros((len(candidates),) * 2, dtype=bool)
+        structural[ends[:, 0], ends[:, 1]] = True
+        structural |= structural.T
+        first, second = np.triu_indices(len(candidates), 1)
+        open_pairs = ~structural[first, second]
+        first, second = first[open_pairs], second[open_pairs]
+        violated = trials.violations(
+            spec, constraint_db, valid[first], valid[second]
+        )
+        conflicts.update(
+            frozenset(pair)
+            for pair in zip(first[violated].tolist(), second[violated].tolist())
+        )
+        if stats is not None:
+            stats.accuracy_conflicts += int(np.count_nonzero(violated))
 
     # --- SIMD Groups Selection (SETMAXWL applied permanently) ----------
     def on_select(candidate: Candidate) -> None:

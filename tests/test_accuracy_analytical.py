@@ -11,6 +11,7 @@ from repro.accuracy import (
 )
 from repro.accuracy.sites import SiteKind
 from repro.fixedpoint import QuantMode, SlotMap
+from repro.utils import power_to_db
 
 
 def _uniform(context, wl):
@@ -124,19 +125,19 @@ class TestModelProperties:
         assert values == sorted(values, reverse=True)
 
     def test_eval_count_increments(self, fir_context):
-        """Each accuracy question counts once, whichever memo answers."""
+        """``eval_count`` counts the questions asked of single states; a
+        trial-table row counts only when a visit re-asks it exactly."""
         model = _fresh_model(fir_context)
         spec = _uniform(fir_context, 16)
         model.noise_power(spec)
         assert model.eval_count == 1
-        lanes, wl = _mul_pairs(fir_context)[0], 8
-        question = (spec.state_key(), (lanes, wl))
-        apply = _group_trial(fir_context.program, lanes, wl)
-        model.trial_noise_power(spec, question, apply)  # miss: via noise_power
-        assert model.eval_count == 2
-        model.trial_noise_power(spec, question, apply)  # trial-memo hit
-        assert model.eval_count == 3
-        assert (model.trial_questions, model.trial_hits) == (2, 1)
+        group = (_mul_pairs(fir_context)[0], 8)
+        level = power_to_db(_fresh_trial(_fresh_model(fir_context), spec, [group]))
+        trials = model.group_trials(spec, (group,))
+        assert trials.violations(spec, level - 1.0).tolist() == [True]
+        assert model.eval_count == 1  # decided by the row's bounds
+        assert trials.violations(spec, level).tolist() == [False]
+        assert (model.eval_count, model.table_rechecks) == (2, 1)
 
 
 def _fresh_model(context):
@@ -153,13 +154,6 @@ def _mul_pairs(context):
 
     muls = [o.opid for o in context.program.all_ops() if o.kind is OpKind.MUL]
     return list(combinations(muls, 2))
-
-
-def _group_trial(program, lanes, wl):
-    """The trial a joint SLP round asks about: SETMAXWL of one group."""
-    from repro.slp import set_group_wl
-
-    return lambda spec: set_group_wl(spec, program, lanes, wl)
 
 
 def _fresh_trial(model, spec, groups):
@@ -263,7 +257,7 @@ class TestNoiseMemo:
 
     def test_threads_share_one_model(self, fir_context, monkeypatch):
         """Concurrent job threads (``repro serve``) share one model: its
-        state memo, its trial memo, its neighbourhood memo and its
+        state memo, its trial tables, its neighbourhood memo and its
         coefficient cache."""
         import sys
         import threading
@@ -271,13 +265,28 @@ class TestNoiseMemo:
         from repro.accuracy import analytical
 
         specs = _random_specs(fir_context, 40, seed=11)
-        group = (_mul_pairs(fir_context)[0], 8)
+        # Three multiply pairs at two widths: 6 validity rows and 15
+        # pair rows per spec, decided at the noise of one pair row (a
+        # recheck whose exact value the threads store concurrently).
+        groups = tuple(
+            (lanes, wl) for lanes in _mul_pairs(fir_context)[:3] for wl in (8, 16)
+        )
+        first, second = np.triu_indices(len(groups), 1)
         # Every root to 12 and to 24 bits, against the spec's own noise
         # level: that splits each neighbourhood, and a move to the width
         # a root already has lands on the constraint (a recheck).
         roots = [r for r in fir_context.slotmap.roots for _ in range(2)]
         wls = [12, 24] * (len(roots) // 2)
         constraints = [_fresh_model(fir_context).noise_db(s) for s in specs]
+
+        def exact_trials(spec):
+            reference = _fresh_model(fir_context)
+            return [
+                power_to_db(_fresh_trial(reference, spec, trial))
+                for trial in [[g] for g in groups] + [
+                    [groups[i], groups[j]] for i, j in zip(first, second)
+                ]
+            ]
 
         def exact_moves(spec, constraint):
             verdicts = []
@@ -288,33 +297,42 @@ class TestNoiseMemo:
                 spec.revert(token)
             return verdicts
 
+        levels = [exact_trials(s) for s in specs]
+        # Each spec's trials are decided at its first pair row's noise.
+        at = [level[len(groups)] for level in levels]
         expected = [
             (_fresh_model(fir_context).noise_power(s),
-             _fresh_trial(_fresh_model(fir_context), s, [group]),
+             [level > a for level in trial_levels[:len(groups)]],
+             [level > a for level in trial_levels[len(groups):]],
              exact_moves(s, c))
-            for s, c in zip(specs, constraints)
+            for s, c, trial_levels, a in zip(specs, constraints, levels, at)
         ]
-        apply = _group_trial(fir_context.program, *group)
-        # A small cap makes the threads race the unlocked clears too
-        # (the coefficient cache sees 23 distinct keys).
+        # Small caps make the threads race the clears too (the
+        # coefficient cache sees 23 distinct keys; two tables fit under
+        # the row cap).
         monkeypatch.setattr(analytical, "_MEMO_CAP", 16)
+        monkeypatch.setattr(
+            analytical, "_TABLE_ROW_CAP", 2 * (21 + analytical._TABLE_KEY_ROWS)
+        )
         shared = _fresh_model(fir_context)
-        results: dict[int, list[tuple[float, float, list[bool]]]] = {}
+        results: dict[int, list] = {}
 
         def work(worker: int) -> None:
-            # Trials mutate their spec on a miss, so each job owns its
-            # specs; only the model is shared.
+            # A recheck mutates its spec, so each job owns its specs;
+            # only the model is shared.
             own = [spec.clone() for spec in specs]
             order = np.random.default_rng(worker).permutation(len(specs))
-            got = [(0.0, 0.0, [])] * len(specs)
+            got = [None] * len(specs)
             for _ in range(5):
                 for index in order:
                     spec = own[index]
+                    trials = shared.group_trials(spec, groups)
                     got[index] = (
                         shared.noise_power(spec),
-                        shared.trial_noise_power(
-                            spec, (spec.state_key(), group), apply
-                        ),
+                        trials.violations(spec, at[index]).tolist(),
+                        trials.violations(
+                            spec, at[index], first, second
+                        ).tolist(),
                         shared.move_violations(
                             spec, roots, wls, constraints[index]
                         ).tolist(),
@@ -336,67 +354,11 @@ class TestNoiseMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert [results.get(w) for w in range(4)] == [expected] * 4
-        for memo in (shared._memo, shared._trial_memo, shared._move_memo,
-                     shared._coeff_cache):
+        assert shared.table_rechecks > 0
+        for memo in (shared._memo, shared._move_memo, shared._coeff_cache):
             assert len(memo) <= 16
-
-
-class TestTrialMemo:
-    """The question-keyed trial memo answers what a fresh trial does."""
-
-    @pytest.mark.parametrize("kernel", ["fir", "iir", "conv"])
-    def test_joint_flows_match_fresh_trials(self, request, kernel):
-        from repro.targets import get_target
-        from repro.wlo import wlo_slp_optimize
-
-        context = request.getfixturevalue(f"{kernel}_context")
-        target = get_target("xentium")
-        model = _fresh_model(context)
-        answer = model.trial_noise_power
-        asked = []
-
-        def record(spec, question, apply):
-            power = answer(spec, question, apply)
-            asked.append((spec.clone(), question, apply, power))
-            return power
-
-        model.trial_noise_power = record
-        for constraint in (-25.0, -55.0):  # one model, as in a sweep panel
-            wlo_slp_optimize(
-                context.program, context.fresh_spec(max_wl=target.max_wl),
-                model, target, constraint,
-            )
-        assert 0 < model.trial_hits < model.trial_questions == len(asked)
-        reference = _fresh_model(context)
-        for spec, (base, *groups), apply, power in asked:
-            # The question names the trial, and the answer is the one
-            # the asking round would have computed itself.
-            assert spec.state_key() == base
-            assert power == _fresh_trial(reference, spec, groups)
-            token = spec.save()
-            apply(spec)
-            assert power == reference.noise_power(spec)
-            spec.revert(token)
-
-    def test_overfill_stays_within_cap(self, fir_context, monkeypatch):
-        from repro.accuracy import analytical
-
-        monkeypatch.setattr(analytical, "_MEMO_CAP", 8)
-        model = _fresh_model(fir_context)
-        reference = _fresh_model(fir_context)
-        spec = _uniform(fir_context, 32)
-        groups = [(lanes, wl) for lanes in _mul_pairs(fir_context)
-                  for wl in (8, 12, 16)]
-        assert len(groups) > 8
-        for _ in range(2):
-            for lanes, wl in groups:
-                power = model.trial_noise_power(
-                    spec, (spec.state_key(), (lanes, wl)),
-                    _group_trial(fir_context.program, lanes, wl),
-                )
-                assert len(model._trial_memo) <= 8
-                assert power == _fresh_trial(reference, spec, [(lanes, wl)])
-        assert model.trial_hits == 0  # every question was evicted in time
+        held = sum(table.charge for table in shared._trial_tables.values())
+        assert held <= analytical._TABLE_ROW_CAP
 
 
 def _per_class_evaluate(model, spec):

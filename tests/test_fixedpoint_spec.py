@@ -270,6 +270,10 @@ def _three_buffer_key(spec):
     return wl.tobytes() + iwl.tobytes() + edge.tobytes()
 
 
+def _views(spec):
+    return spec.fwl_vector(), spec.iwl_vector(), spec.edge_wl_matrix()
+
+
 class TestJournalProperties:
     """Hypothesis: random mutation walks over the journaled spec."""
 
@@ -295,6 +299,31 @@ class TestJournalProperties:
             assert (spec.wl_vector() == baseline[0]).all()
             assert (spec.iwl_vector() == baseline[1]).all()
             assert (spec.edge_wl_matrix() == baseline[2]).all()
+
+        run()
+
+    def test_unpack_is_the_single_state_views(self, tiny_program):
+        """``unpack`` of stacked ``state_vector`` copies gives every
+        state's fwl, iwl and edge views: the rows a batched evaluator
+        reads are the states a single evaluation reads."""
+        from hypothesis import given, settings
+
+        slotmap = SlotMap(tiny_program)
+
+        @given(_mutations(slotmap))
+        @settings(max_examples=50, deadline=None)
+        def run(seq):
+            spec = FixedPointSpec(slotmap)
+            tokens = [spec.save()]
+            states, views = [spec.state_vector()], [_views(spec)]
+            for step in seq:
+                _mutate(spec, *step, tokens)
+                states.append(spec.state_vector())
+                views.append(_views(spec))
+            rows = spec.unpack(np.stack(states))
+            for got, want in zip(rows, zip(*views)):
+                assert got.dtype == np.int32
+                assert np.array_equal(got, np.stack(want))
 
         run()
 
