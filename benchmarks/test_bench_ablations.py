@@ -14,7 +14,7 @@ from repro.experiments import (
     ablation_wlo_engines,
     ablation_wlo_slp_features,
 )
-from repro.flows import run_wlo_slp
+from repro.pipeline import run_flow
 from repro.targets import get_target
 
 CASES = (("fir", "xentium"), ("iir", "vex-1"), ("conv", "vex-4"))
@@ -25,9 +25,9 @@ def test_ablation_features(runner, benchmark, results_dir, kernel, target):
     """WLO-SLP with Fig. 1b / Fig. 1c features toggled off."""
     context = runner.context(kernel)
     benchmark.pedantic(
-        lambda: run_wlo_slp(
-            context.program, get_target(target), -45.0, context,
-            scaloptim=False,
+        lambda: run_flow(
+            "wlo-slp", context.program, get_target(target), -45.0,
+            analysis_program=context.analysis_program, scaloptim=False,
         ),
         rounds=1, iterations=1,
     )

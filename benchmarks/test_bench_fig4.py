@@ -2,8 +2,8 @@
 
 For each benchmark kernel, regenerates the paper's Fig. 4 panels (all
 four targets) as ASCII plots plus a flat table, persists them under
-``benchmarks/results/``, and benchmarks one uncached WLO-SLP flow run
-as the timed payload.
+``benchmarks/results/``, and benchmarks one WLO-SLP flow run as the
+timed payload.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.experiments import (
     fig4_table,
     render_fig4,
 )
-from repro.flows import run_wlo_slp
+from repro.pipeline import run_flow
 from repro.targets import get_target
 
 KERNELS = ("fir", "iir", "conv")
@@ -29,7 +29,10 @@ def test_fig4_panel_rows(runner, benchmark, results_dir, kernel):
     context = runner.context(kernel)
     target = get_target("xentium")
     benchmark.pedantic(
-        lambda: run_wlo_slp(context.program, target, -25.0, context),
+        lambda: run_flow(
+            "wlo-slp", context.program, target, -25.0,
+            analysis_program=context.analysis_program,
+        ),
         rounds=1, iterations=1,
     )
     text = render_fig4(runner, (kernel,), PAPER_TARGETS, PAPER_CONSTRAINT_GRID)

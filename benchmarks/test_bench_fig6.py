@@ -15,7 +15,7 @@ from repro.experiments import (
     fig6_table,
     render_fig6,
 )
-from repro.flows import run_float
+from repro.pipeline import run_flow
 from repro.targets import get_target
 
 
@@ -23,7 +23,7 @@ def test_fig6_series(runner, benchmark, results_dir):
     """Regenerate Fig. 6 and persist text + CSV + JSON."""
     context = runner.context("fir")
     benchmark.pedantic(
-        lambda: run_float(context.program, get_target("xentium")),
+        lambda: run_flow("float", context.program, get_target("xentium")),
         rounds=1, iterations=1,
     )
     text = render_fig6(runner)

@@ -480,11 +480,14 @@ def test_tabu_wlo_speed(runner, benchmark, target_name):
 
 def test_simd_lowering_speed(runner, benchmark):
     """SIMD lowering of an optimized FIR (pack/shift insertion)."""
-    from repro.flows import run_wlo_slp
+    from repro.pipeline import run_flow
 
     context = runner.context("fir")
     target = get_target("vex-4")
-    flow = run_wlo_slp(context.program, target, -25.0, context)
+    flow = run_flow(
+        "wlo-slp", context.program, target, -25.0,
+        analysis_program=context.analysis_program,
+    )
     lowered = benchmark(
         lower_simd_program, context.program, flow.spec, target, flow.groups
     )

@@ -106,11 +106,10 @@ BENCH_JOBS = max(2, min(4, os.cpu_count() or 1))
 
 def _forget_process_memos() -> None:
     """Empty the process-global memos a sweep fills (the pass cache and
-    the engine's kernel, context and float-cycle memos), so the next
-    sweep — and every pool worker it forks — starts cold."""
+    the engine's kernel memo), so the next sweep — and every pool
+    worker it forks — starts cold."""
     global_pass_cache().clear()
-    for memo in (engine._PROGRAMS, engine._CONTEXTS, engine._FLOAT_CYCLES):
-        memo.clear()
+    engine._PROGRAMS.clear()
 
 
 def test_bench_sweep_serial_vs_parallel(results_dir):

@@ -15,7 +15,7 @@ from repro.experiments import (
     TABLE1_TARGETS,
     table1,
 )
-from repro.flows import run_wlo_first
+from repro.pipeline import run_flow
 from repro.targets import get_target
 
 
@@ -24,7 +24,10 @@ def test_table1_rows(runner, benchmark, results_dir):
     context = runner.context("fir")
     target = get_target("st240")
     benchmark.pedantic(
-        lambda: run_wlo_first(context.program, target, -35.0, context),
+        lambda: run_flow(
+            "wlo-first", context.program, target, -35.0,
+            analysis_program=context.analysis_program,
+        ),
         rounds=1, iterations=1,
     )
     table = table1(runner)

@@ -20,9 +20,9 @@ Run:  python examples/custom_format.py
 
 from repro.accuracy import FormatAccuracyEvaluator
 from repro.experiments import ExperimentRunner
-from repro.flows import AnalysisContext
 from repro.formats import get_format
 from repro.kernels import fir
+from repro.pipeline import AnalysisContext
 
 
 def main() -> None:

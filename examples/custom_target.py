@@ -9,8 +9,8 @@ word lengths against the 48-bit datapath, so triples become legal.
 Run:  python examples/custom_target.py
 """
 
-from repro.flows import AnalysisContext, run_float, run_wlo_slp, speedup
 from repro.kernels import fir
+from repro.pipeline import run_flow, speedup
 from repro.targets import TargetModel, register_target, get_target
 
 
@@ -40,11 +40,10 @@ def main() -> None:
     print(f"  largest group             = {target.max_group_size} lanes")
 
     program = fir(n_samples=512)
-    context = AnalysisContext.build(program)
-    float_result = run_float(program, target)
+    float_result = run_flow("float", program, target)
 
     for constraint in (-20.0, -50.0):
-        result = run_wlo_slp(program, target, constraint, context)
+        result = run_flow("wlo-slp", program, target, constraint)
         print(
             f"\n@ {constraint:g} dB: {result.total_cycles} cycles, "
             f"{result.n_groups} groups, noise {result.noise_db:.1f} dB, "

@@ -12,8 +12,8 @@ Run:  python examples/fir_filter_study.py [target]
 
 import sys
 
-from repro.flows import AnalysisContext, run_wlo_first, run_wlo_slp, speedup
 from repro.kernels import fir
+from repro.pipeline import run_flow, speedup
 from repro.report import TextTable, line_plot
 from repro.targets import get_target
 
@@ -24,7 +24,6 @@ def main(target_name: str = "vex-1") -> None:
 
     program = fir(n_samples=2048)
     twin = fir(n_samples=160)  # analysis twin: same ops, shorter loops
-    context = AnalysisContext.build(program, twin)
 
     grid = (-5.0, -15.0, -25.0, -35.0, -45.0, -55.0, -65.0)
     table = TextTable(
@@ -35,8 +34,12 @@ def main(target_name: str = "vex-1") -> None:
     wf_series = []
     slp_series = []
     for constraint in grid:
-        wlo_first = run_wlo_first(program, target, constraint, context)
-        wlo_slp = run_wlo_slp(program, target, constraint, context)
+        wlo_first = run_flow(
+            "wlo-first", program, target, constraint, analysis_program=twin
+        )
+        wlo_slp = run_flow(
+            "wlo-slp", program, target, constraint, analysis_program=twin
+        )
         wf_speedup = speedup(wlo_first.scalar, wlo_first.simd)
         slp_speedup = speedup(wlo_first.scalar, wlo_slp)
         table.add_row(

@@ -11,8 +11,8 @@ Run:  python examples/iir_accuracy_validation.py
 """
 
 from repro.accuracy import SimulationAccuracyEvaluator
-from repro.flows import AnalysisContext
 from repro.kernels import iir
+from repro.pipeline import AnalysisContext
 from repro.report import TextTable
 
 

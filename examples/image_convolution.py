@@ -15,8 +15,8 @@ import numpy as np
 
 from repro.accuracy import SimulationAccuracyEvaluator
 from repro.codegen import emit_fixed_point_c, emit_simd_c
-from repro.flows import AnalysisContext, run_wlo_slp
 from repro.kernels import conv2d
+from repro.pipeline import run_flow
 from repro.targets import get_target
 
 
@@ -24,9 +24,8 @@ def main() -> None:
     constraint_db = -40.0
     program = conv2d(height=34, width=34)
     target = get_target("vex-4")
-    context = AnalysisContext.build(program)
 
-    result = run_wlo_slp(program, target, constraint_db, context)
+    result = run_flow("wlo-slp", program, target, constraint_db)
     print(result.summary())
     assert result.spec is not None and result.groups is not None
 

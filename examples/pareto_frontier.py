@@ -17,8 +17,8 @@ Run:  python examples/pareto_frontier.py [target]
 
 import sys
 
-from repro.flows import AnalysisContext
 from repro.kernels import fir
+from repro.pipeline import AnalysisContext
 from repro.report import TextTable, line_plot
 from repro.targets import get_target
 from repro.wlo import pareto_frontier

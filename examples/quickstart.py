@@ -18,9 +18,8 @@ Run:  python examples/quickstart.py
 
 from repro.accuracy import SimulationAccuracyEvaluator
 from repro.codegen import emit_fixed_point_c
-from repro.flows import speedup
 from repro.kernels import dot_product
-from repro.pipeline import available_flows, run_flow
+from repro.pipeline import available_flows, run_flow, speedup
 from repro.targets import get_target
 
 

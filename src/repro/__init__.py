@@ -9,11 +9,12 @@ models, cycle-level scheduling, code generation) included.
 
 Quick start::
 
-    from repro import kernels, flows, targets
+    from repro import kernels, targets
+    from repro.pipeline import run_flow
 
     program = kernels.fir(n_samples=256)
     target = targets.get_target("xentium")
-    result = flows.run_wlo_slp(program, target, accuracy_db=-25.0)
+    result = run_flow("wlo-slp", program, target, -25.0)
     print(result.summary())
 """
 

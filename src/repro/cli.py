@@ -572,21 +572,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api import RunRequest
-    from repro.flows.common import FlowResult
 
     request = RunRequest.from_args(args)
     result, state = request.execute()
     print(result.summary())
-    if isinstance(result, FlowResult) and result.spec is not None:
-        print(result.spec.describe())
+    # Both result types carry the spec (None for float), and every flow
+    # with a search leaves its statistics in the final state.
+    spec = result.spec
+    if spec is not None:
+        print(spec.describe())
     if args.timings:
         print()
         print(state.timing_report())
-        stats = None
-        if isinstance(result, FlowResult):
-            stats = result.extra.get("wlo_stats")
-        elif hasattr(result, "simd"):  # WloFirstResult
-            stats = result.simd.extra.get("wlo_stats")
+        stats = state.get("wlo_stats") if state.has("wlo_stats") else None
         if stats is not None:
             from repro.experiments.engine import wlo_stats_numbers
 
@@ -596,32 +594,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{evaluations} evaluations"
                 + (" (warm start)" if warm else "")
             )
-        if isinstance(result, FlowResult) and result.spec is not None:
+        if spec is not None:
             from repro.fixedpoint.widthproof import prove_int64_safe
             from repro.ir.backend import DEFAULT_BACKEND, get_backend
             from repro.kernels import kernel_by_name
 
             backend = get_backend(request.sim_backend or DEFAULT_BACKEND)
             program = kernel_by_name(request.kernel)
-            tier = backend.fixed_tier(program, result.spec)
+            tier = backend.fixed_tier(program, spec)
             line = f"fixed-point sim tier: {tier}"
             if backend.tiers:
-                proof = prove_int64_safe(program, result.spec)
+                proof = prove_int64_safe(program, spec)
                 line += f" — {proof.describe()}"
             print(line)
     return 0
 
 
 def _cmd_codegen(args: argparse.Namespace) -> int:
-    from repro.flows import AnalysisContext, run_wlo_slp
     from repro.codegen import emit_fixed_point_c, emit_simd_c
     from repro.kernels import kernel_by_name
+    from repro.pipeline import run_flow
     from repro.targets import get_target
 
     program = kernel_by_name(args.kernel)
     target = get_target(args.target)
-    context = AnalysisContext.build(program)
-    result = run_wlo_slp(program, target, args.constraint, context)
+    result = run_flow("wlo-slp", program, target, args.constraint)
     assert result.spec is not None and result.groups is not None
     if args.simd:
         source = emit_simd_c(program, result.spec, result.groups)

@@ -12,8 +12,9 @@
 
 from __future__ import annotations
 
+from repro.experiments.engine import kernel_programs
 from repro.experiments.runner import ExperimentRunner
-from repro.flows.wlo_slp import run_wlo_slp
+from repro.pipeline import run_flow
 from repro.report.tables import TextTable
 from repro.targets.registry import get_target
 
@@ -30,8 +31,13 @@ def ablation_wlo_slp_features(
     target_name: str = "xentium",
     grid: tuple[float, ...] = (-15.0, -45.0, -65.0),
 ) -> TextTable:
-    """Ablations A, B and B2 on the WLO-SLP flow."""
-    ctx = runner.context(kernel)
+    """Ablations A, B and B2 on the WLO-SLP flow.
+
+    Each variant is the ``wlo-slp`` flow with one feature parameter
+    off, run on the sweep's kernel programs: it shares the cells'
+    analysis prefix, and ``full`` is the cells' own joint search.
+    """
+    program, twin = kernel_programs(runner.config, kernel)
     target = get_target(target_name)
     variants = {
         "full": {},
@@ -47,7 +53,10 @@ def ablation_wlo_slp_features(
     )
     for constraint in grid:
         for name, kwargs in variants.items():
-            result = run_wlo_slp(ctx.program, target, constraint, ctx, **kwargs)
+            result = run_flow(
+                "wlo-slp", program, target, constraint,
+                analysis_program=twin, **kwargs,
+            )
             table.add_row(
                 constraint, name, result.total_cycles, result.n_groups,
                 round(result.noise_db or 0.0, 1),

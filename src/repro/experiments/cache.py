@@ -4,8 +4,8 @@ One JSON file per cell under a cache directory, named by a SHA-256
 content hash of everything that determines the cell's numbers: the
 kernel problem sizes (:class:`~repro.experiments.engine.KernelConfig`),
 the full cell key (kernel, target, constraint, WLO engine), and
-:func:`~repro.flows.common.flow_code_version` — a hash of every
-semantic source module.  Editing flows/WLO/SLP/accuracy/… code rolls
+:func:`~repro.pipeline.cache.flow_code_version` — a hash of every
+semantic source module.  Editing pipeline/WLO/SLP/accuracy/… code rolls
 the version and orphans stale entries; editing tests, docs, report
 renderers or the CLI leaves the cache warm, so re-rendering
 ``fig4``/``table1``/``fig6`` after an unrelated edit is near-instant.
@@ -40,7 +40,7 @@ from repro.experiments.engine import (
     KernelConfig,
     cell_pipeline_signature,
 )
-from repro.flows.common import flow_code_version
+from repro.pipeline.cache import flow_code_version
 
 __all__ = ["SweepCache", "default_cache_dir"]
 

@@ -6,9 +6,9 @@ module splits the old monolithic runner into three composable parts:
 
 * :func:`evaluate_cell` — a *pure*, picklable function turning one
   :class:`CellRequest` into a :class:`Cell`.  Workers memoize kernel
-  builds and :class:`~repro.flows.common.AnalysisContext` construction
-  in process-global tables, so a batch of cells sharing a kernel pays
-  for analysis once per process.
+  builds in a process-global table, and the pipeline's process-global
+  pass cache holds each kernel's analysis prefix, so a batch of cells
+  sharing a kernel pays for analysis once per process.
 * :class:`SweepPlan` — enumerates and deduplicates the cells of a
   sweep (the job graph), ordered kernel-major so consecutive cells
   reuse contexts.
@@ -16,8 +16,8 @@ module splits the old monolithic runner into three composable parts:
   and an optional on-disk :class:`~repro.experiments.cache.SweepCache`,
   dispatching misses through a pluggable *execution backend*
   (:mod:`repro.experiments.backends`: ``serial`` / ``process`` /
-  ``chunked``) and streaming completed cells back with progress
-  callbacks.
+  ``chunked`` / ``workqueue``) and streaming completed cells back with
+  progress callbacks.
 
 Cell evaluation is deterministic (fixed analysis seeds), so every
 backend produces bit-identical results on the surviving cells.
@@ -34,12 +34,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import FlowError, unknown_name_error
-from repro.flows.common import AnalysisContext
-from repro.flows.floatflow import run_float
-from repro.flows.wlo_first import WloFirstResult
 from repro.formats import canonical_format
 from repro.kernels import conv2d, fir, iir
-from repro.pipeline import ensure_flow, get_flow, run_flow
+from repro.pipeline import (
+    AnalysisContext,
+    WloFirstResult,
+    ensure_flow,
+    get_flow,
+    run_flow,
+)
 from repro.pipeline.registry import registry_generation
 from repro.targets.registry import get_target
 
@@ -198,14 +201,12 @@ class Cell:
 # ----------------------------------------------------------------------
 # Pure cell evaluation (runs in workers; all state is process-global).
 
-#: Per-process caches of the expensive shared work.  Keyed by the full
-#: (config, kernel) pair so differently-sized runners never collide.
-#: Kernel programs are built once per process; flow-level sharing
-#: (analysis passes, lowerings) lives in the pipeline's process-global
-#: :class:`~repro.pipeline.cache.PassCache`, keyed by content hash.
+#: Per-process cache of kernel builds, keyed by the full (config,
+#: kernel) pair so differently-sized runners never collide.  Flow-level
+#: sharing (analysis passes, lowerings) lives in the pipeline's
+#: process-global :class:`~repro.pipeline.cache.PassCache`, keyed by
+#: content hash.
 _PROGRAMS: dict[tuple[KernelConfig, str], tuple] = {}
-_CONTEXTS: dict[tuple[KernelConfig, str], AnalysisContext] = {}
-_FLOAT_CYCLES: dict[tuple[KernelConfig, str, str], int] = {}
 
 
 def kernel_programs(config: KernelConfig, kernel: str) -> tuple:
@@ -225,25 +226,16 @@ def kernel_programs(config: KernelConfig, kernel: str) -> tuple:
 
 
 def build_context(config: KernelConfig, kernel: str) -> AnalysisContext:
-    """Build (or recall) the analysis context of one kernel."""
-    key = (config, kernel)
-    found = _CONTEXTS.get(key)
-    if found is None:
-        program, twin = kernel_programs(config, kernel)
-        found = AnalysisContext.build(program, twin)
-        _CONTEXTS[key] = found
-    return found
+    """The analysis context of one kernel: the prefix its cells share,
+    read from (or run into) the process-global pass cache."""
+    return AnalysisContext.build(*kernel_programs(config, kernel))
 
 
 def float_cycles(config: KernelConfig, kernel: str, target: str) -> int:
-    """Cycle count of the floating-point original (memoized)."""
-    key = (config, kernel, target)
-    found = _FLOAT_CYCLES.get(key)
-    if found is None:
-        ctx = build_context(config, kernel)
-        found = run_float(ctx.program, get_target(target)).total_cycles
-        _FLOAT_CYCLES[key] = found
-    return found
+    """Cycle count of the floating-point original (the ``float`` flow,
+    pass-cached like every cell's)."""
+    program, _ = kernel_programs(config, kernel)
+    return run_flow("float", program, get_target(target)).total_cycles
 
 
 #: (registry generation, memoized signatures by (wlo, flow)) — the
@@ -648,10 +640,11 @@ class SweepExecutor:
     backend from :mod:`repro.experiments.backends`.  ``backend=None``
     auto-selects: in-process ``serial`` when ``jobs <= 1`` or a single
     cell is missing, the ``process`` pool otherwise; pass ``"serial"``
-    / ``"process"`` / ``"chunked"`` (or any registered name) to pin
-    one.  Completed cells stream back through :meth:`run_iter` as they
-    finish; failed cells stream too (source ``"failed"``), so the rest
-    of the sweep always completes and persists.
+    / ``"process"`` / ``"chunked"`` / ``"workqueue"`` (or any
+    registered name) to pin one.  Completed cells stream back through
+    :meth:`run_iter` as they finish; failed cells stream too (source
+    ``"failed"``), so the rest of the sweep always completes and
+    persists.
     """
 
     def __init__(

@@ -9,12 +9,12 @@ resolved through a :class:`~repro.experiments.engine.SweepExecutor`
 that layers an in-memory memo, an optional persistent on-disk cache,
 and a pluggable execution backend
 (:mod:`repro.experiments.backends`: ``serial`` / ``process`` /
-``chunked``) for bulk :meth:`prefetch` fan-out.  Sweeps are
-fault-tolerant: a failing cell never aborts :meth:`prefetch` — it is
-reported in the returned stats while every other cell completes and
-persists; :meth:`cell` raises a :class:`~repro.errors.FlowError`
-carrying the captured exception text when the one cell it was asked
-for failed.
+``chunked`` / ``workqueue``) for bulk :meth:`prefetch` fan-out.
+Sweeps are fault-tolerant: a failing cell never aborts
+:meth:`prefetch` — it is reported in the returned stats while every
+other cell completes and persists; :meth:`cell` raises a
+:class:`~repro.errors.FlowError` carrying the captured exception text
+when the one cell it was asked for failed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.experiments.engine import (
     build_context,
     float_cycles,
 )
-from repro.flows.common import AnalysisContext
+from repro.pipeline import AnalysisContext
 
 __all__ = ["PAPER_CONSTRAINT_GRID", "PAPER_TARGETS", "Cell", "ExperimentRunner"]
 
@@ -56,8 +56,9 @@ class ExperimentRunner:
     jobs: int = 1
     cache: object | None = None
     progress: object | None = None
-    #: Execution backend name (``serial``/``process``/``chunked``);
-    #: ``None`` auto-selects from ``jobs`` and the miss count.
+    #: Execution backend name (``serial``/``process``/``chunked``/
+    #: ``workqueue``); ``None`` auto-selects from ``jobs`` and the miss
+    #: count.
     backend: str | None = None
     _cells: dict[CellRequest, Cell] = field(default_factory=dict)
 
@@ -83,7 +84,8 @@ class ExperimentRunner:
         return self.config.kernel_names
 
     def context(self, kernel: str) -> AnalysisContext:
-        """The (process-wide cached) analysis context of a kernel."""
+        """The analysis context of a kernel: the prefix its cells share
+        in the process-global pass cache."""
         return build_context(self.config, kernel)
 
     def float_cycles(self, kernel: str, target_name: str) -> int:

@@ -50,12 +50,13 @@ def validation_table(
 ) -> TextTable:
     """Analytical vs measured output noise across uniform specs.
 
-    Uses the engine's process-wide analysis contexts (via
-    ``runner.context``), so a validation pass after a figure sweep
-    costs only the bit-accurate simulations.  ``n_stimuli``, ``seed``
-    and ``backend`` parameterize those simulations (the CLI flags
-    ``--stimuli`` / ``--sim-seed`` / ``--sim-backend``); ``oracle``
-    adds the measured-vs-oracle columns (``--oracle``).
+    Reads each kernel's analysis context from the process-global pass
+    cache (via ``runner.context``), where the sweep cells left their
+    prefix, so a validation pass after a figure sweep costs only the
+    bit-accurate simulations.  ``n_stimuli``, ``seed`` and ``backend``
+    parameterize those simulations (the CLI flags ``--stimuli`` /
+    ``--sim-seed`` / ``--sim-backend``); ``oracle`` adds the
+    measured-vs-oracle columns (``--oracle``).
     """
     headers = ["kernel", "word_length", "analytical_db", "measured_db",
                "difference_db", "sim_tier"]

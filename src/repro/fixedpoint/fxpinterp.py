@@ -53,7 +53,7 @@ def check_spec_compatible(program: Program, spec: FixedPointSpec) -> None:
 
     The spec may come from an analysis twin of the same kernel
     (identical ops and symbols, shorter loops) — see AnalysisContext
-    in repro.flows.common.  Shared by the scalar and batch executors.
+    in repro.pipeline.flows.  Shared by the scalar and batch executors.
     """
     twin = spec.slotmap.program
     if twin is not program and (

@@ -28,6 +28,10 @@ Layers (one module each):
   `wlo-slp-lite` variants; :func:`declare_decoupled_flow` /
   :func:`declare_joint_flow` are the one-line factories custom
   variants use (see ``examples/custom_flow.py``).
+  :class:`AnalysisContext` is the flows' shared analysis prefix on
+  its own, resolved through the same pass cache.
+* :mod:`~repro.pipeline.results` — the result containers
+  (:class:`FlowResult`, :class:`WloFirstResult`) and :func:`speedup`.
 
 WLO engines have their own registry, :mod:`repro.wlo.registry`.
 """
@@ -38,7 +42,11 @@ from repro.pipeline.cache import (
     global_pass_cache,
     pass_key,
 )
-from repro.pipeline.flows import declare_decoupled_flow, declare_joint_flow
+from repro.pipeline.flows import (
+    AnalysisContext,
+    declare_decoupled_flow,
+    declare_joint_flow,
+)
 from repro.pipeline.passes import (
     ANALYSIS_PASS_NAMES,
     AccuracyModelPass,
@@ -65,13 +73,16 @@ from repro.pipeline.registry import (
     register_flow,
     run_flow,
 )
+from repro.pipeline.results import FlowResult, WloFirstResult, speedup
 from repro.pipeline.state import FlowState, PassTiming
 
 __all__ = [
     "ANALYSIS_PASS_NAMES",
     "AccuracyModelPass",
     "AdjointGainsPass",
+    "AnalysisContext",
     "DecoupledSlpPass",
+    "FlowResult",
     "FlowSpec",
     "FlowState",
     "IwlAssignmentPass",
@@ -86,6 +97,7 @@ __all__ = [
     "Pipeline",
     "RangeAnalysisPass",
     "SchedulePass",
+    "WloFirstResult",
     "WloPass",
     "available_flows",
     "content_fingerprint",
@@ -98,4 +110,5 @@ __all__ = [
     "pass_key",
     "register_flow",
     "run_flow",
+    "speedup",
 ]

@@ -11,10 +11,10 @@ Two-level scheme:
   without re-hashing big objects.
 * **Pass keys** combine the pass signature (name + parameters), the
   fingerprints of everything the pass reads, and
-  :func:`~repro.flows.common.flow_code_version` (so editing semantic
-  source rolls every key).  The :class:`PassCache` maps keys to output
-  artifact dicts; per-pass hit/miss counters make reuse observable to
-  tests, benchmarks and the ``--timings`` report.
+  :func:`flow_code_version` (so editing semantic source rolls every
+  key).  The :class:`PassCache` maps keys to output artifact dicts;
+  per-pass hit/miss counters make reuse observable to tests,
+  benchmarks and the ``--timings`` report.
 
 The default cache is process-global: every pipeline run in a process
 (or pool worker) shares one analysis prefix per kernel, which is what
@@ -27,6 +27,8 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
+from functools import lru_cache
+from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.ir.program import Program
@@ -39,9 +41,52 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "PassCache",
     "content_fingerprint",
+    "flow_code_version",
     "global_pass_cache",
     "pass_key",
 ]
+
+
+def _is_semantic(relative: str) -> bool:
+    """Whether a package-relative source path can change cell numbers.
+
+    Pure presentation (``report/``), the CLI front end and the
+    experiment orchestration layer are excluded — with one exception:
+    ``experiments/engine.py`` holds the kernel builders and flow
+    wiring of :func:`evaluate_cell`, so it is semantic.  Everything
+    else — IR, kernels, pipeline, WLO, SLP, fixed-point, accuracy,
+    scheduler, codegen, targets — participates.
+    """
+    top = relative.split("/", 1)[0]
+    if top in ("report", "cli.py"):
+        return False
+    if top == "experiments":
+        return relative == "experiments/engine.py"
+    return True
+
+
+@lru_cache(maxsize=1)
+def flow_code_version() -> str:
+    """Content hash of every source file that can change flow numbers.
+
+    Every pass key, and the on-disk sweep cache
+    (:mod:`repro.experiments.cache`) for each cell, includes this hash,
+    so editing any semantic module (pipeline, WLO, SLP, accuracy,
+    scheduler, codegen, kernels, targets, IR, fixed-point) invalidates
+    stale results, while edits to tests, docs, the report renderers,
+    the CLI, or the experiment harness leave the cache warm.
+    """
+    package_root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(package_root.rglob("*.py")):
+        relative = path.relative_to(package_root).as_posix()
+        if not _is_semantic(relative):
+            continue
+        digest.update(relative.encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()[:16]
 
 
 def _digest(*parts: str) -> str:
@@ -97,8 +142,6 @@ def content_fingerprint(value: Any) -> str:
 
 def pass_key(pass_: "Pass", state: "FlowState") -> str:
     """Cache key of one pass applied to one state."""
-    from repro.flows.common import flow_code_version
-
     return _digest(
         "pass", pass_.signature(), flow_code_version(),
         *(state.fingerprint(name) for name in pass_.reads),

@@ -7,6 +7,10 @@ configuration, a hybrid — are one-line registrations.  The two extra
 variants at the bottom (`wlo-first-greedy`, `wlo-slp-lite`) exist to
 prove exactly that point, and double as sweepable ablation flows.
 
+The analysis prefix the fixed-point flows share is also available on
+its own, as an :class:`AnalysisContext`, for callers that drive the
+accuracy model or a search directly.
+
 Importing this module populates the registry; `repro.pipeline`
 re-exports everything, so ``from repro.pipeline import run_flow`` is
 all a caller needs.
@@ -15,11 +19,15 @@ all a caller needs.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Any
 
-from repro.flows.common import FlowResult
-from repro.flows.wlo_first import WloFirstResult
+from repro.accuracy.analytical import AccuracyModel
+from repro.fixedpoint.iwl import assign_iwls
+from repro.fixedpoint.range_analysis import RangeResult
+from repro.fixedpoint.spec import FixedPointSpec, SlotMap
 from repro.ir.backend import DEFAULT_BACKEND
+from repro.ir.program import Program
 from repro.pipeline.passes import (
     AccuracyModelPass,
     AdjointGainsPass,
@@ -35,10 +43,12 @@ from repro.pipeline.passes import (
     SchedulePass,
     WloPass,
 )
+from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.registry import FlowSpec, register_flow
+from repro.pipeline.results import FlowResult, WloFirstResult
 from repro.pipeline.state import FlowState
 
-__all__ = ["declare_decoupled_flow", "declare_joint_flow"]
+__all__ = ["AnalysisContext", "declare_decoupled_flow", "declare_joint_flow"]
 
 
 def _analysis_passes(sim_backend: str = DEFAULT_BACKEND) -> tuple[Pass, ...]:
@@ -48,6 +58,48 @@ def _analysis_passes(sim_backend: str = DEFAULT_BACKEND) -> tuple[Pass, ...]:
         AdjointGainsPass(),
         AccuracyModelPass(),
     )
+
+
+@dataclass
+class AnalysisContext:
+    """One program's analysis prefix: ranges, noise gains, slot map.
+
+    The *analysis twin* trick: gains and ranges are extracted from a
+    structurally identical program with reduced trip counts (same ops,
+    same ids, shorter loops), because steady-state noise gains converge
+    long before the benchmark-sized iteration counts needed for
+    realistic cycle numbers.  :meth:`build` verifies the twin matches
+    op-for-op.
+    """
+
+    program: Program
+    analysis_program: Program
+    slotmap: SlotMap
+    ranges: RangeResult
+    model: AccuracyModel
+
+    @staticmethod
+    def build(
+        program: Program, analysis_program: Program | None = None
+    ) -> "AnalysisContext":
+        """The flows' own analysis passes on ``program``.
+
+        They run through the process-global pass cache, so a context
+        and every flow run on the same program (and twin) share one
+        prefix, the accuracy model included.
+        """
+        state = FlowState.seed(program, analysis_program=analysis_program)
+        Pipeline(_analysis_passes(), has_constraint=False).run(state)
+        return AnalysisContext(
+            program, state.get("analysis_program"), state.get("slotmap"),
+            state.get("ranges"), state.get("model"),
+        )
+
+    def fresh_spec(self, max_wl: int = 32) -> FixedPointSpec:
+        """A new spec with range-derived IWLs and maximum WLs."""
+        spec = FixedPointSpec(self.slotmap, max_wl=max_wl)
+        assign_iwls(spec, self.ranges)
+        return spec
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,10 @@ hash (see :mod:`repro.pipeline.cache`) — in a constraint sweep the
 whole analysis prefix (range analysis, adjoint gains, accuracy model)
 resolves from cache on every constraint after the first.
 
-Each pass body is a verbatim transliteration of the corresponding step
-of the legacy flow functions in :mod:`repro.flows` (same callees, same
-defaults, same order), which is what makes pipeline flows bit-identical
-to them — the parity contract ``tests/test_pipeline.py`` pins down.
+Each pass body makes the same calls, with the same defaults and in the
+same order, as the corresponding step of the hand-wired reference flows
+in ``tests/flow_reference.py``; ``tests/test_pipeline.py`` holds every
+flow bit-identical to that reference.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def _continuation_key(pass_: Pass, state: FlowState) -> str:
     the artifact fingerprints of everything the engine reads *except*
     ``constraint_db`` — two cells share a family exactly when they
     solve the same problem at different constraints.  The fingerprints
-    also embed :func:`~repro.flows.common.flow_code_version`, so stale
+    also embed :func:`~repro.pipeline.cache.flow_code_version`, so stale
     solutions can never leak across code changes within a process.
     """
     parts = [pass_.signature()]

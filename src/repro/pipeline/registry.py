@@ -4,8 +4,8 @@ A :class:`FlowSpec` is the declarative description of one compilation
 flow: a name, default parameters, a ``build`` hook turning resolved
 parameters into a pass tuple, and a ``result`` hook packaging the
 final :class:`~repro.pipeline.state.FlowState` into the flow's public
-result object (:class:`~repro.flows.common.FlowResult` or
-:class:`~repro.flows.wlo_first.WloFirstResult`).
+result object (:class:`~repro.pipeline.results.FlowResult` or
+:class:`~repro.pipeline.results.WloFirstResult`).
 
 The registry mirrors :mod:`repro.targets.registry`: library code and
 the CLI resolve flows exclusively through :func:`get_flow` /

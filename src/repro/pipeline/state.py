@@ -3,7 +3,10 @@
 A :class:`FlowState` is a name → artifact dictionary seeded with the
 flow inputs (``program``, ``analysis_program``, ``target``, the
 target's ``word_lengths`` and — for constraint-driven flows —
-``constraint_db``) that passes read from and write to.  Every artifact
+``constraint_db``) that passes read from and write to.  The analysis
+prefix reads neither target nor constraint, so
+:meth:`~repro.pipeline.flows.AnalysisContext.build` seeds a state
+without them.  Every artifact
 carries a *fingerprint*: a content hash for the seeds, and a hash of
 the producing pass's cache key for derived artifacts.  Fingerprints
 are what make per-pass caching sound — a pass's cache key is built
@@ -25,6 +28,27 @@ from repro.pipeline.cache import content_fingerprint
 from repro.targets.model import TargetModel
 
 __all__ = ["FlowState", "PassTiming"]
+
+
+def _check_twin(program: Program, twin: Program) -> None:
+    """Reject an analysis twin that does not match ``program``
+    op-for-op (same op ids and kinds, same symbol tables)."""
+    if twin is program:
+        return
+    if twin.n_ops != program.n_ops:
+        raise FlowError(
+            f"analysis twin has {twin.n_ops} ops, program has {program.n_ops}"
+        )
+    for op, twin_op in zip(program.all_ops(), twin.all_ops()):
+        if op.opid != twin_op.opid or op.kind is not twin_op.kind:
+            raise FlowError(
+                f"analysis twin diverges at op {op.opid} "
+                f"({op.kind} vs {twin_op.kind})"
+            )
+    if sorted(program.arrays) != sorted(twin.arrays) or sorted(
+        program.variables
+    ) != sorted(twin.variables):
+        raise FlowError("analysis twin symbol tables differ")
 
 
 @dataclass
@@ -51,25 +75,24 @@ class FlowState:
     @staticmethod
     def seed(
         program: Program,
-        target: TargetModel,
+        target: TargetModel | None = None,
         constraint_db: float | None = None,
         analysis_program: Program | None = None,
     ) -> "FlowState":
         """A fresh state holding the flow inputs.
 
         The analysis twin defaults to the program itself; when given,
-        it must match the program op-for-op (the same check legacy
-        :meth:`~repro.flows.common.AnalysisContext.build` applies).
+        it must match the program op-for-op.  Without a ``target`` the
+        state holds no ``target`` or ``word_lengths`` artifact.
         """
-        from repro.flows.common import _check_twin
-
         twin = analysis_program or program
         _check_twin(program, twin)
         state = FlowState()
         state.put("program", program)
         state.put("analysis_program", twin)
-        state.put("target", target)
-        state.put("word_lengths", target.word_lengths)
+        if target is not None:
+            state.put("target", target)
+            state.put("word_lengths", target.word_lengths)
         if constraint_db is not None:
             state.put("constraint_db", float(constraint_db))
         return state

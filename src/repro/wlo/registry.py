@@ -16,10 +16,10 @@ word-length assignment seeding the search; see
 :mod:`repro.wlo.continuation`) — the ``wlo`` pipeline pass detects the
 keyword by signature inspection and only passes a seed to engines that
 declare it, so engines without it simply always run cold.  The
-flow layer (:mod:`repro.flows.wlo_first`, the ``wlo`` pipeline pass)
-resolves engines exclusively through this registry, so a new engine
-registered here is immediately selectable by name from ``repro run
---wlo``, ``repro sweep --wlo`` and any declared flow variant.
+flows' ``wlo`` pipeline pass resolves engines exclusively through
+this registry, so a new engine registered here is immediately
+selectable by name from ``repro run --wlo``, ``repro sweep --wlo``
+and any declared flow variant.
 
 Registrations are process-local.  Parallel sweeps (``--jobs N``) on
 platforms whose multiprocessing start method is ``spawn`` or

@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.flows import AnalysisContext
 from repro.ir import ProgramBuilder, loop_index
 from repro.kernels import conv2d, fir, iir, kernel_by_name, kernel_names
+from repro.pipeline import AnalysisContext
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import pytest
 
 from repro.codegen import emit_fixed_point_c, emit_simd_c
 from repro.fixedpoint import FxpConfig, OverflowMode, QuantMode, run_fixed_point
-from repro.flows import run_wlo_slp
+from repro.pipeline import run_flow
 from repro.targets import get_target
 
 HAVE_CC = shutil.which("cc") is not None
@@ -124,8 +124,8 @@ class TestStructural:
         assert "main" not in source  # no stimulus embedded
 
     def test_simd_source_uses_macro_api(self, fir_context):
-        result = run_wlo_slp(
-            fir_context.program, get_target("xentium"), -15.0, fir_context
+        result = run_flow(
+            "wlo-slp", fir_context.program, get_target("xentium"), -15.0
         )
         source = emit_simd_c(
             fir_context.program, result.spec, result.groups
@@ -136,8 +136,8 @@ class TestStructural:
         assert "#define V2ADD" in source  # portable fallback present
 
     def test_simd_group_count_matches(self, fir_context):
-        result = run_wlo_slp(
-            fir_context.program, get_target("xentium"), -15.0, fir_context
+        result = run_flow(
+            "wlo-slp", fir_context.program, get_target("xentium"), -15.0
         )
         source = emit_simd_c(
             fir_context.program, result.spec, result.groups
@@ -146,8 +146,8 @@ class TestStructural:
 
     @requires_cc
     def test_simd_source_compiles(self, fir_context, tmp_path):
-        result = run_wlo_slp(
-            fir_context.program, get_target("xentium"), -15.0, fir_context
+        result = run_flow(
+            "wlo-slp", fir_context.program, get_target("xentium"), -15.0
         )
         source = emit_simd_c(
             fir_context.program, result.spec, result.groups

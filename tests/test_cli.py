@@ -1,5 +1,7 @@
 """Command-line interface tests (fast paths only)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -47,6 +49,22 @@ class TestCommands:
     def test_run_float(self, capsys):
         assert main(["run", "--kernel", "dot", "--flow", "float"]) == 0
         assert "float" in capsys.readouterr().out
+
+    def test_run_float_summary_names_no_constraint(self, capsys):
+        assert main(["run", "--kernel", "dot", "--flow", "float"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("[float] dot on xentium: ")
+        assert "nan" not in out and " @ " not in out
+
+    @pytest.mark.parametrize("flow", ["wlo-first", "wlo-first-greedy"])
+    def test_run_decoupled_prints_spec_and_tier(self, capsys, flow):
+        assert main(["run", "--kernel", "dot", "--constraint", "-30",
+                     "--flow", flow, "--timings"]) == 0
+        out = capsys.readouterr().out
+        assert f"[{flow}/" in out and "/scalar] dot on xentium @ -30 dB" in out
+        assert re.search(r"^  <\d+,\d+> wl=\d+ ", out, re.M)  # the spec
+        assert "WLO search: " in out
+        assert "fixed-point sim tier: batch[int64]" in out
 
     def test_codegen_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "dot.c"

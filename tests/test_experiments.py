@@ -113,6 +113,54 @@ class TestAblations:
         assert {row[1] for row in table.rows} == {"tabu", "max-1", "min+1"}
 
 
+class TestSharedPrefix:
+    """Contexts, float cycles and the ablations read the analysis
+    prefix the sweep cells stored in the process-global pass cache;
+    nothing runs it a second time."""
+
+    @pytest.fixture()
+    def cache(self):
+        from repro.pipeline import global_pass_cache
+
+        cache = global_pass_cache()
+        cache.clear()
+        return cache
+
+    @staticmethod
+    def _prefix_runs(cache) -> dict[str, int]:
+        from repro.pipeline import ANALYSIS_PASS_NAMES
+
+        return {name: cache.executions(name) for name in ANALYSIS_PASS_NAMES}
+
+    @staticmethod
+    def _fresh_runner() -> ExperimentRunner:
+        return ExperimentRunner(
+            n_samples=96, analysis_samples=96,
+            image_size=18, analysis_image_size=18,
+        )
+
+    def test_context_and_float_cycles_run_no_prefix(self, cache):
+        runner = self._fresh_runner()
+        runner.sweep("fir", "xentium", GRID)
+        after_sweep = self._prefix_runs(cache)
+        assert set(after_sweep.values()) == {1}
+        context = runner.context("fir")
+        runner.float_cycles("fir", "xentium")
+        assert self._prefix_runs(cache) == after_sweep
+        models = [
+            outputs["model"] for outputs in cache._entries.values()
+            if "model" in outputs
+        ]
+        assert len(models) == 1 and context.model is models[0]
+
+    def test_ablations_run_each_prefix_pass_once(self, cache):
+        runner = self._fresh_runner()
+        ablation_wlo_slp_features(runner, "fir", "xentium", grid=GRID)
+        assert set(self._prefix_runs(cache).values()) == {1}
+        ablation_wlo_engines(runner, "fir", "xentium", grid=GRID)
+        assert set(self._prefix_runs(cache).values()) == {1}
+
+
 class TestPaperShapes:
     """Shape checks on the reduced sizes (fast proxies of the full
     claims asserted by the benchmark harness)."""

@@ -531,6 +531,72 @@ class TestRunnerKeying:
             flow_registry._FLOWS.pop("test-shipped", None)
 
 
+class TestConcurrentEvaluation:
+    """``repro serve`` job threads share every process-global memo the
+    cells read: the pass cache (and the contexts it now holds), the
+    kernel builds, the format noise and the pipeline signatures."""
+
+    CONFIG = KernelConfig(256, 96, 24, 18)
+    REQUESTS = [
+        CellRequest(kernel, target, constraint)
+        for kernel in ("fir", "iir", "conv")
+        for target in ("xentium", "vex-1")
+        for constraint in (-15.0, -45.0)
+    ] + [CellRequest("fir", "vex-1", -15.0, format="float32")]
+
+    @staticmethod
+    def _forget_process_memos() -> None:
+        from repro.experiments import engine
+        from repro.pipeline import global_pass_cache
+
+        global_pass_cache().clear()
+        engine._PROGRAMS.clear()
+        engine._FORMAT_NOISE.clear()
+        engine._SIGNATURES[:] = [-1, {}]
+
+    def _payload(self, request: CellRequest) -> tuple:
+        import dataclasses
+
+        from repro.experiments.engine import cell_pipeline_signature
+
+        cell = evaluate_cell(self.CONFIG, request)
+        return dataclasses.asdict(cell), cell_pipeline_signature(request)
+
+    def test_threads_match_a_sequential_run(self):
+        import sys
+        import threading
+
+        self._forget_process_memos()
+        expected = {r: self._payload(r) for r in self.REQUESTS}
+        self._forget_process_memos()
+        count = len(self.REQUESTS)
+        results: list[dict] = [{} for _ in range(4)]
+        errors: list[Exception] = []
+
+        def work(worker: int) -> None:
+            try:
+                for step in range(count):
+                    request = self.REQUESTS[(step + 3 * worker) % count]
+                    results[worker][request] = self._payload(request)
+            except Exception as error:  # reported by the assert below
+                errors.append(error)
+
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for got in results:
+            assert got == expected
+
+
 class TestSweepCLI:
     def test_sweep_cold_then_warm(self, tmp_path, capsys):
         from repro.cli import main

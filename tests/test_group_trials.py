@@ -20,8 +20,8 @@ import pytest
 from repro.accuracy import AccuracyModel
 from repro.accuracy import analytical
 from repro.experiments.engine import PAPER_CONSTRAINT_GRID, KernelConfig, build_context
-from repro.flows import AnalysisContext
 from repro.ir import OpKind
+from repro.pipeline import AnalysisContext
 from repro.slp import block_slp, initial_items, set_group_wl
 from repro.targets import get_target
 from repro.utils import power_to_db

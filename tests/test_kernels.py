@@ -178,11 +178,11 @@ class TestKernelsAreOptimizable:
         lambda: scale_offset(32),
     ])
     def test_flow_runs(self, build):
-        from repro.flows import AnalysisContext, run_wlo_slp
+        from repro.pipeline import AnalysisContext, run_flow
         from repro.targets import get_target
 
         program = build()
-        context = AnalysisContext.build(program)
-        result = run_wlo_slp(program, get_target("vex-4"), -25.0, context)
+        result = run_flow("wlo-slp", program, get_target("vex-4"), -25.0)
         assert result.total_cycles > 0
-        assert not context.model.violates(result.spec, -25.0)
+        model = AnalysisContext.build(program).model
+        assert not model.violates(result.spec, -25.0)

@@ -1,10 +1,11 @@
 """Pass-pipeline architecture tests.
 
 The load-bearing contract: every paper flow run as a declared pipeline
-is **bit-identical** to its legacy hand-wired function — same spec,
-same cycles, same noise, same groups — across a kernel × target ×
-constraint smoke grid.  Plus the registry error paths and the per-pass
-cache reuse guarantees the sweep engine builds on.
+is **bit-identical** to its hand-wired reference function
+(``flow_reference.py``) — same spec, same cycles, same noise, same
+groups — across a kernel × target × constraint smoke grid.  Plus the
+registry error paths and the per-pass cache reuse guarantees the sweep
+engine builds on.
 """
 
 from __future__ import annotations
@@ -12,8 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from flow_reference import (
+    reference_context,
+    run_float,
+    run_wlo_first,
+    run_wlo_slp,
+)
 from repro.errors import FlowError, WLOError
-from repro.flows import run_float, run_wlo_first, run_wlo_slp
 from repro.pipeline import (
     ANALYSIS_PASS_NAMES,
     FlowSpec,
@@ -55,19 +61,28 @@ def _assert_specs_identical(a, b):
 
 
 # ----------------------------------------------------------------------
-# Golden parity: pipeline flows vs legacy flow functions.
+# Golden parity: pipeline flows vs the hand-wired reference flows.
+
+@pytest.fixture(scope="module")
+def fir_reference(small_fir):
+    """The small FIR's analysis prefix built by hand, outside the pass
+    cache: the reference flows' own context."""
+    return reference_context(small_fir)
+
 
 class TestLegacyParity:
-    """Pipeline declarations must reproduce the legacy functions
-    bit-for-bit on a kernel × target × constraint smoke grid."""
+    """Pipeline declarations must reproduce the hand-wired reference
+    flows bit-for-bit on a kernel × target × constraint smoke grid."""
 
     @pytest.mark.parametrize("target_name,constraint", [
         ("xentium", -15.0), ("xentium", -45.0), ("vex-1", -25.0),
     ])
-    def test_wlo_slp_fir(self, fir_context, target_name, constraint):
+    def test_wlo_slp_fir(
+        self, fir_context, fir_reference, target_name, constraint
+    ):
         target = get_target(target_name)
         legacy = run_wlo_slp(
-            fir_context.program, target, constraint, fir_context
+            fir_context.program, target, constraint, fir_reference
         )
         piped = run_flow(
             "wlo-slp", fir_context.program, target, constraint
@@ -80,7 +95,7 @@ class TestLegacyParity:
 
     def test_wlo_slp_iir(self, iir_context):
         target = get_target("st240")
-        legacy = run_wlo_slp(iir_context.program, target, -30.0, iir_context)
+        legacy = run_wlo_slp(iir_context.program, target, -30.0)
         piped = run_flow("wlo-slp", iir_context.program, target, -30.0)
         assert piped.total_cycles == legacy.total_cycles
         assert piped.noise_db == legacy.noise_db
@@ -88,10 +103,10 @@ class TestLegacyParity:
         _assert_specs_identical(piped.spec, legacy.spec)
 
     @pytest.mark.parametrize("engine", ["tabu", "max-1", "min+1"])
-    def test_wlo_first_engines(self, fir_context, engine):
+    def test_wlo_first_engines(self, fir_context, fir_reference, engine):
         target = get_target("xentium")
         legacy = run_wlo_first(
-            fir_context.program, target, -25.0, fir_context, wlo=engine
+            fir_context.program, target, -25.0, fir_reference, wlo=engine
         )
         piped = run_flow(
             "wlo-first", fir_context.program, target, -25.0, wlo=engine
@@ -116,15 +131,14 @@ class TestLegacyParity:
         assert piped.spec is None and piped.noise_db is None
 
     def test_twin_context_parity(self):
-        """Pipelines honour the analysis-twin trick like the legacy
+        """Pipelines honour the analysis-twin trick like the reference
         context (same decisions from a reduced-trip-count twin)."""
-        from repro.flows import AnalysisContext
         from repro.kernels import fir
 
         program = fir(n_samples=96, n_taps=16)
         twin = fir(n_samples=48, n_taps=16)
         target = get_target("xentium")
-        ctx = AnalysisContext.build(program, twin)
+        ctx = reference_context(program, twin)
         legacy = run_wlo_slp(program, target, -30.0, ctx)
         piped = run_flow(
             "wlo-slp", program, target, -30.0, analysis_program=twin
@@ -154,11 +168,13 @@ class TestFlowVariants:
         assert variant.simd.total_cycles == explicit.simd.total_cycles
         assert variant.simd.flow == "wlo-first-greedy/max-1/simd"
 
-    def test_lite_variant_equals_ablation_kwargs(self, fir_context):
+    def test_lite_variant_equals_ablation_kwargs(
+        self, fir_context, fir_reference
+    ):
         target = get_target("xentium")
         variant = run_flow("wlo-slp-lite", fir_context.program, target, -25.0)
         legacy = run_wlo_slp(
-            fir_context.program, target, -25.0, fir_context,
+            fir_context.program, target, -25.0, fir_reference,
             harmonize=False, scaloptim=False,
         )
         assert variant.total_cycles == legacy.total_cycles
@@ -303,23 +319,22 @@ class TestPipelineMechanics:
                 has_constraint=True,
             )
 
-    def test_tabu_config_honoured_case_insensitively(self, fir_context):
-        from repro.wlo import TabuConfig
-
+    def test_engine_name_case_insensitive(self, small_fir):
         target = get_target("xentium")
-        lower = run_wlo_first(
-            fir_context.program, target, -25.0, fir_context,
-            wlo="tabu", tabu_config=TabuConfig(max_iterations=2),
+        lower = run_flow(
+            "wlo-first", small_fir, target, -25.0, wlo="tabu",
+            cache=PassCache(),
         )
-        upper = run_wlo_first(
-            fir_context.program, target, -25.0, fir_context,
-            wlo="Tabu", tabu_config=TabuConfig(max_iterations=2),
+        upper = run_flow(
+            "wlo-first", small_fir, target, -25.0, wlo="Tabu",
+            cache=PassCache(),
         )
-        assert (
-            upper.scalar.extra["wlo_stats"].iterations
-            == lower.scalar.extra["wlo_stats"].iterations
-            <= 2
-        )
+        for a, b in ((lower.scalar, upper.scalar), (lower.simd, upper.simd)):
+            assert a.total_cycles == b.total_cycles
+            assert a.noise_db == b.noise_db
+            assert _group_shape(a.groups) == _group_shape(b.groups)
+            assert a.extra["wlo_stats"] == b.extra["wlo_stats"]
+        _assert_specs_identical(lower.spec, upper.spec)
 
 
 # ----------------------------------------------------------------------

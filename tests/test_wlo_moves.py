@@ -15,8 +15,8 @@ import pytest
 from repro.accuracy import AccuracyModel
 from repro.errors import WLOError
 from repro.experiments.engine import PAPER_TARGETS, KernelConfig, build_context
-from repro.flows import AnalysisContext
 from repro.ir import OpKind
+from repro.pipeline import AnalysisContext
 from repro.targets import TargetModel, get_target
 from repro.wlo import GreedyResult, WlCostTable, max_minus_one, tabu_wlo
 from repro.wlo.continuation import apply_warm_start

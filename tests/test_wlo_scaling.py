@@ -27,7 +27,7 @@ def _mismatch_setup():
             b.store(z, i * 2 + 1, t1)
     program = b.build()
 
-    from repro.flows import AnalysisContext
+    from repro.pipeline import AnalysisContext
 
     context = AnalysisContext.build(program)
     spec = context.fresh_spec()
