@@ -1,17 +1,14 @@
-"""Engine micro-benchmarks: fan-out, dispatch, reuse, continuation, memo.
+"""Engine micro-benchmarks: fan-out, reuse, continuation, memo.
 
-Five benchmarks, all recorded (merged by name) into
+Four benchmarks, all recorded (merged by name) into
 ``benchmarks/results/BENCH_sweep.json`` so future PRs have a perf
 trajectory for the engine:
 
 * ``sweep_serial_vs_parallel`` — the same reduced-size plan through a
-  serial and a process-pool executor, each started cold, asserting
-  bit-identical cells.
-* ``sweep_dispatch`` — the same plan through the ``process`` (one pool
-  task per cell) and ``chunked`` (kernel-major chunks + worker-side
-  shared-cache stores) execution backends, asserting bit-identical
-  cells and guarding chunked-dispatch overhead against the per-cell
-  baseline.
+  serial executor and a ``jobs > 1`` one (the ``workqueue`` backend),
+  each started cold, asserting bit-identical cells and recording the
+  backend the parallel side resolved; it records the speedup and
+  guards none.
 * ``pass_reuse`` — one kernel through the ``wlo-slp`` pipeline at two
   constraints against a fresh :class:`~repro.pipeline.PassCache`; the
   second constraint must resolve the whole analysis prefix (range
@@ -40,8 +37,8 @@ import statistics
 import time
 
 from repro.accuracy.analytical import AccuracyModel
-from repro.experiments import KernelConfig, SweepCache, SweepExecutor, SweepPlan
-from repro.experiments import engine
+from repro.experiments import KernelConfig, SweepExecutor, SweepPlan
+from repro.experiments import backends, engine
 from repro.experiments.engine import PAPER_CONSTRAINT_GRID, PAPER_TARGETS
 from repro.pipeline import ANALYSIS_PASS_NAMES, PassCache, run_flow
 from repro.pipeline.cache import global_pass_cache
@@ -55,10 +52,6 @@ from repro.targets import get_target
 from repro.wlo import clear_continuations
 
 from conftest import record_bench as _record
-
-#: Chunked dispatch amortizes pickling/IPC, so it must never cost more
-#: than this factor over per-cell process dispatch on the same plan.
-CHUNK_OVERHEAD_LIMIT = 2.5
 
 #: Warm-start continuation must cut the WLO evaluations of the fir:vex-1
 #: paper-grid sweep at least this much (deterministic: 5,122 -> 1,705).
@@ -112,7 +105,7 @@ def _forget_process_memos() -> None:
     engine._PROGRAMS.clear()
 
 
-def test_bench_sweep_serial_vs_parallel(results_dir):
+def test_bench_sweep_serial_vs_parallel(results_dir, monkeypatch):
     """Both sides start cold: a pool forked after the serial side would
     inherit its warm memos and report a superlinear speedup."""
     plan = SweepPlan.build(BENCH_CONFIG, BENCH_KERNELS, BENCH_TARGETS, BENCH_GRID)
@@ -123,6 +116,14 @@ def test_bench_sweep_serial_vs_parallel(results_dir):
     serial_seconds = time.perf_counter() - started
     assert serial_stats.computed == len(plan)
 
+    resolved: list[str] = []
+    lookup = backends.get_execution_backend
+
+    def recording_lookup(name):
+        resolved.append(name)
+        return lookup(name)
+
+    monkeypatch.setattr(backends, "get_execution_backend", recording_lookup)
     _forget_process_memos()
     started = time.perf_counter()
     parallel_cells, parallel_stats = SweepExecutor(
@@ -130,6 +131,7 @@ def test_bench_sweep_serial_vs_parallel(results_dir):
     ).run(plan)
     parallel_seconds = time.perf_counter() - started
     assert parallel_stats.computed == len(plan)
+    (parallel_backend,) = resolved
 
     # The acceptance bar: fan-out must not change a single number.
     assert parallel_cells == serial_cells
@@ -140,56 +142,12 @@ def test_bench_sweep_serial_vs_parallel(results_dir):
         "targets": list(BENCH_TARGETS),
         "grid_db": list(BENCH_GRID),
         "jobs": BENCH_JOBS,
+        "backend": parallel_backend,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "serial_seconds": round(serial_seconds, 3),
         "parallel_seconds": round(parallel_seconds, 3),
         "parallel_speedup": round(serial_seconds / parallel_seconds, 2),
-    })
-
-
-def test_bench_sweep_dispatch(results_dir, tmp_path):
-    """Chunked dispatch: bit-identical and within the overhead budget.
-
-    Both backends run with a (private, cold) disk cache so the
-    comparison includes each one's real store path — parent-side for
-    ``process``, worker-side for ``chunked``.
-    """
-    plan = SweepPlan.build(BENCH_CONFIG, BENCH_KERNELS, BENCH_TARGETS, BENCH_GRID)
-
-    started = time.perf_counter()
-    process_cells, process_stats = SweepExecutor(
-        BENCH_CONFIG, jobs=BENCH_JOBS, backend="process",
-        cache=SweepCache(tmp_path / "process"),
-    ).run(plan)
-    process_seconds = time.perf_counter() - started
-    assert process_stats.computed == len(plan)
-
-    started = time.perf_counter()
-    chunked_cells, chunked_stats = SweepExecutor(
-        BENCH_CONFIG, jobs=BENCH_JOBS, backend="chunked",
-        cache=SweepCache(tmp_path / "chunked"),
-    ).run(plan)
-    chunked_seconds = time.perf_counter() - started
-    assert chunked_stats.computed == len(plan)
-
-    # The acceptance bars: dispatch strategy must not change a single
-    # number, every cell must hit the disk worker-side, and the chunk
-    # amortization must not regress into an overhead.
-    assert chunked_cells == process_cells
-    assert len(SweepCache(tmp_path / "chunked")) == len(plan)
-    overhead = chunked_seconds / process_seconds
-    assert overhead <= CHUNK_OVERHEAD_LIMIT
-
-    _record("sweep_dispatch", {
-        "n_cells": len(plan),
-        "jobs": BENCH_JOBS,
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "process_seconds": round(process_seconds, 3),
-        "chunked_seconds": round(chunked_seconds, 3),
-        "chunked_over_process": round(overhead, 2),
-        "overhead_limit": CHUNK_OVERHEAD_LIMIT,
     })
 
 

@@ -92,8 +92,8 @@ class SweepRequest:
     flow: str = "wlo-slp"
     sim_backend: str = ""
     jobs: int = 1
-    #: Execution backend (``serial``/``process``/``chunked``/
-    #: ``workqueue``); ``""`` auto-selects.
+    #: Execution backend (``serial``/``workqueue``); ``""``
+    #: auto-selects (``workqueue`` when ``jobs > 1``).
     backend: str = ""
     cache_dir: str = ""
     no_cache: bool = False

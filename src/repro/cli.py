@@ -35,7 +35,7 @@ service's ``GET /registries``).
 Every sweep-backed command (``sweep``, ``fig4``, ``table1``, ``fig6``,
 ``ablations``, ``validate``, ``serve``) declares the *same* shared
 engine flags — ``--jobs``, ``--backend`` (execution backend:
-``serial``/``process``/``chunked``/``workqueue``), ``--cache-dir``,
+``serial``/``workqueue``), ``--cache-dir``,
 ``--no-cache``, ``--sim-backend``, ``--continuation``, ``--pareto``,
 ``--format`` (numeric format: ``float32``/``bfloat16``/``binary(E,M)``,
 from :mod:`repro.formats`) —
@@ -250,10 +250,9 @@ def _engine_parent(
     parent.add_argument(
         "--backend", default=None, metavar="BACKEND",
         help="execution backend dispatching the missing cells "
-             "(serial/process/chunked/workqueue; default: serial for "
-             "--jobs 1, process otherwise — chunked amortizes IPC per "
-             "kernel-major chunk, workqueue adds leases/heartbeats/"
-             "retries and survives worker deaths)",
+             "(serial/workqueue; default: serial for --jobs 1, "
+             "workqueue otherwise — kernel-affine leased workers that "
+             "share the disk cache and survive worker deaths)",
     )
     parent.add_argument(
         "--cache-dir", type=Path, default=None,

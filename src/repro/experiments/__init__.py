@@ -8,22 +8,21 @@ Architecture (one layer per module):
   pure, picklable function from request to :class:`Cell`; a
   :class:`SweepExecutor` resolves plans through an in-memory memo, an
   optional on-disk cache, and a pluggable execution backend,
-  streaming completed cells back with progress callbacks.  All
+  streaming completed cells back with progress callbacks.  Both
   backends are bit-identical on surviving cells; failing cells are
   captured per cell (source ``"failed"``) instead of aborting the
   sweep.
 * :mod:`~repro.experiments.backends` — the execution-backend registry
-  (fourth registry, next to flows, WLO engines and sim backends):
-  ``serial`` (in-process), ``process`` (one pool task per cell) and
-  ``chunked`` (kernel-major chunk dispatch whose workers load/store
-  the shared disk cache directly, enabling multi-host cooperative
-  sweeps over one ``--cache-dir``).
-* :mod:`~repro.experiments.workqueue` — the fifth backend:
-  ``workqueue``, an active coordinator with leased pull-based
-  workers — per-worker heartbeats, lease reclaim from dead/stalled
-  workers, failed-cell retries with exponential backoff, and
-  cache-first assignment.  ``repro serve`` wraps it in a long-lived
-  HTTP job service (:mod:`repro.serve`).
+  (fourth registry, next to flows, WLO engines and sim backends) and
+  its in-process ``serial`` reference.
+* :mod:`~repro.experiments.workqueue` — ``workqueue``, the parallel
+  backend every ``--jobs N`` sweep runs on: an active coordinator
+  leasing cells kernel by kernel to pull-based workers — per-worker
+  heartbeats, lease reclaim from dead/stalled workers, cache-first
+  assignment, and workers that load/store the shared disk cache
+  directly, enabling multi-host cooperative sweeps over one
+  ``--cache-dir``.  ``repro serve`` wraps it in a long-lived HTTP job
+  service (:mod:`repro.serve`).
 * :mod:`~repro.experiments.cache` — the persistent result store: one
   JSON file per cell, keyed by a content hash of the kernel config,
   the cell key and the flow code version, so semantic code edits

@@ -10,12 +10,10 @@ registry, mirroring how flows (:mod:`repro.pipeline`), WLO engines
 
 * ``serial`` — in-process evaluation, one cell at a time.  No pickling,
   no pool start-up; the reference dispatcher.
-* ``process`` — one :class:`~concurrent.futures.ProcessPoolExecutor`
-  task per cell, streaming results back as futures complete.
-* ``chunked`` — kernel-major *chunks* of cells per pool task, so a
-  worker pays pickling/IPC once per chunk and reuses its per-process
-  kernel/context memos across the whole chunk.  Each worker loads and
-  stores cells directly in the shared on-disk
+* ``workqueue`` — the one parallel dispatcher
+  (:mod:`repro.experiments.workqueue`): an active coordinator leasing
+  cells to pull-based worker processes, kernel by kernel.  Workers load
+  and store cells directly in the shared on-disk
   :class:`~repro.experiments.cache.SweepCache`, so several hosts
   pointed at one cache directory (``--cache-dir`` or
   ``$REPRO_CACHE_DIR`` on a network mount) cooperatively fill the same
@@ -30,27 +28,22 @@ a sweep or drop in-flight completed cells — the executor keeps
 draining, persists every survivor, and surfaces the failures in its
 :class:`~repro.experiments.engine.SweepStats`.
 
-All backends are bit-identical on the surviving cells of *cold*
+Both backends are bit-identical on the surviving cells of *cold*
 sweeps: dispatch changes *where*
 :func:`~repro.experiments.engine.evaluate_cell` runs, never what it
 computes.  Warm-continuation sweeps (``continuation="warm"``, see
 :mod:`repro.wlo.continuation`) relax this to the continuation quality
-contract: the per-process continuation store means ``serial`` (and
-each ``chunked`` worker, whose kernel-major chunks keep a panel's
-strictest-first constraint order) hands every cell its neighbor's
-seed, while ``process`` one-task-per-cell dispatch usually finds an
-empty store and runs cold — always-correct, feasible, never costlier
-than cold, but not bit-pinned across dispatch strategies.
+contract: the continuation store is per process, so ``serial`` hands
+every cell its neighbor's seed, while a panel split across
+``workqueue`` workers runs partly cold — always-correct, feasible,
+never costlier than cold, but not bit-pinned across dispatch
+strategies.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
-
-import pickle
 
 from repro.errors import ExecutionBackendError, unknown_name_error
 from repro.experiments.engine import (
@@ -59,13 +52,10 @@ from repro.experiments.engine import (
     KernelConfig,
     evaluate_cell,
 )
-from repro.pipeline import get_flow
 
 __all__ = [
     "CellResult",
-    "ChunkedBackend",
     "ExecutionBackend",
-    "ProcessBackend",
     "SerialBackend",
     "available_execution_backends",
     "evaluate_request",
@@ -107,115 +97,6 @@ def evaluate_request(
         return CellResult(
             request, None, error=f"{type(error).__name__}: {error}"
         )
-
-
-def _evaluate_chunk(
-    config: KernelConfig,
-    requests: list[CellRequest],
-    flows: tuple,
-    cache_dir: str | None,
-) -> list[CellResult]:
-    """Worker-side body of the ``chunked`` backend (module-level for
-    pickling).  Re-checks the shared cache per cell (a cooperating
-    host may have finished it since the plan was cut) and persists
-    every computed cell before returning, so completed work survives a
-    coordinator crash."""
-    cache = None
-    if cache_dir is not None:
-        from repro.experiments.cache import SweepCache
-
-        cache = SweepCache(cache_dir)
-    results: list[CellResult] = []
-    for request in requests:
-        if cache is not None:
-            found = cache.load(config, request)
-            if found is not None:
-                results.append(
-                    CellResult(request, found, source="cache", stored=True)
-                )
-                continue
-        result = evaluate_request(config, request, flows)
-        if result.cell is not None and cache is not None:
-            cache.store(config, request, result.cell)
-            result = replace(result, stored=True)
-        results.append(result)
-    return results
-
-
-def _shippable_flow_specs(requests: list[CellRequest]) -> tuple:
-    """The plan's flow declarations, filtered to what pickling allows.
-
-    Every flow a worker will resolve is shipped — the requests' joint
-    flows plus the ``float``/``wlo-first`` roles of every cell — so
-    runtime declarations *and* runtime re-declarations of built-ins
-    reach spawn-started workers (whose registries otherwise hold only
-    the stock declarations, silently diverging from the cache key the
-    parent computed).  A spec holding unpicklable callables (e.g.
-    closures defined in a REPL) is silently skipped — on fork
-    platforms the worker inherits it anyway, elsewhere the worker
-    raises the registry's clear unknown-flow error.
-    """
-    names = dict.fromkeys(["float", "wlo-first"])
-    names.update(dict.fromkeys(r.flow for r in requests))
-    specs = []
-    for name in names:
-        spec = get_flow(name)
-        try:
-            pickle.dumps(spec)
-        except Exception:
-            continue
-        specs.append(spec)
-    return tuple(specs)
-
-
-def _pool_events(tasks: list, workers: int, submit) -> Iterator[tuple]:
-    """Shared pool-drain loop of the ``process`` and ``chunked`` backends.
-
-    Runs one ``ProcessPoolExecutor`` over ``tasks`` (``submit(pool,
-    task)`` dispatches one task) and yields events:
-
-    * ``("delivered", task, value)`` — the task's future returned
-      ``value``;
-    * ``("failed", task, text)`` — that one future raised a non-pool
-      error (its result would not unpickle, say); the pool is healthy
-      and only this task suffers;
-    * ``("undelivered", tasks, text)`` — a worker death broke the pool
-      (:class:`BrokenProcessPool`, raised at submit *or* result time),
-      leaving ``tasks`` undelivered.  Always the final event when it
-      occurs; the caller decides between retrying in a fresh pool and
-      failing them.
-    """
-    undelivered: list = []
-    broken: str | None = None
-    unsubmitted = list(tasks)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending: dict = {}
-        try:
-            while unsubmitted:
-                future = submit(pool, unsubmitted[0])
-                pending[future] = unsubmitted.pop(0)
-        except BrokenProcessPool as error:
-            # A worker died mid-submission: the already-submitted
-            # futures surface the same breakage below.
-            broken = f"{type(error).__name__}: {error}"
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                # Already drained into `undelivered` below.
-                task = pending.pop(future, None)
-                if task is None:
-                    continue
-                try:
-                    yield "delivered", task, future.result()
-                except BrokenProcessPool as error:
-                    broken = f"{type(error).__name__}: {error}"
-                    undelivered = [task, *pending.values()]
-                    pending.clear()
-                except Exception as error:
-                    yield "failed", task, f"{type(error).__name__}: {error}"
-    leftover = [*undelivered, *unsubmitted]
-    if leftover:
-        yield "undelivered", leftover, broken
 
 
 # ----------------------------------------------------------------------
@@ -261,134 +142,6 @@ class SerialBackend(ExecutionBackend):
             yield evaluate_request(config, request)
 
 
-class ProcessBackend(ExecutionBackend):
-    """One pool task per cell, streamed back as futures complete.
-
-    Worker deaths (OOM, segfault) break the whole
-    ``ProcessPoolExecutor`` — every in-flight future raises
-    :class:`BrokenProcessPool` and the culprit is indistinguishable
-    from its victims.  The undelivered cells are therefore retried in
-    a *fresh* pool (never in the coordinator, where a crashing cell
-    would take the sweep's bookkeeping down with it), keeping full
-    parallelism for the tail; cells still undelivered after
-    ``pool_rebuilds`` rebuilds fail with the pool-breakage text.
-    """
-
-    name = "process"
-    description = "process-pool fan-out, one task per cell"
-
-    #: Fresh pools built for undelivered cells after a worker death.
-    pool_rebuilds = 1
-
-    def evaluate(self, config, misses, *, jobs=1, cache=None):
-        flows = _shippable_flow_specs(misses)
-
-        def submit(pool, request):
-            return pool.submit(evaluate_request, config, request, flows)
-
-        remaining = list(misses)
-        broken: str | None = None
-        for _ in range(self.pool_rebuilds + 1):
-            workers = max(1, min(jobs, len(remaining)))
-            leftover: list[CellRequest] = []
-            for kind, task, value in _pool_events(remaining, workers, submit):
-                if kind == "delivered":
-                    yield value
-                elif kind == "failed":
-                    yield CellResult(task, None, error=value)
-                else:  # undelivered: a worker death broke the pool
-                    leftover, broken = task, value
-            remaining = leftover
-            if not remaining:
-                return
-        for request in remaining:
-            yield CellResult(request, None, error=broken)
-
-
-class ChunkedBackend(ExecutionBackend):
-    """Kernel-major chunks per pool task + worker-side shared cache.
-
-    Chunks never span kernels, so each worker amortizes one kernel
-    build/analysis context over its whole chunk; the chunk count
-    targets ``oversubscribe`` chunks per worker for load balance.
-    Workers read and write the shared disk cache directly — the
-    multi-host cooperation rung: point several machines at one
-    ``--cache-dir`` and each computes only the cells the others
-    haven't persisted yet.
-    """
-
-    name = "chunked"
-    description = (
-        "kernel-major chunk dispatch, workers share the disk cache"
-    )
-
-    #: Target chunks per worker; >1 so a slow chunk can't serialize
-    #: the tail of the sweep.
-    oversubscribe = 2
-
-    def chunks(
-        self, misses: list[CellRequest], jobs: int
-    ) -> list[list[CellRequest]]:
-        """Split a kernel-major miss list into dispatch chunks."""
-        jobs = max(1, jobs)
-        size = max(
-            1, -(-len(misses) // (jobs * self.oversubscribe))
-        )
-        chunks: list[list[CellRequest]] = []
-        for request in misses:
-            if (
-                chunks
-                and chunks[-1][0].kernel == request.kernel
-                and len(chunks[-1]) < size
-            ):
-                chunks[-1].append(request)
-            else:
-                chunks.append([request])
-        return chunks
-
-    #: Fresh pools built for undelivered chunks after a worker death.
-    pool_rebuilds = 1
-
-    def evaluate(self, config, misses, *, jobs=1, cache=None):
-        flows = _shippable_flow_specs(misses)
-        cache_dir = str(cache.directory) if cache is not None else None
-
-        def submit(pool, chunk):
-            return pool.submit(_evaluate_chunk, config, chunk, flows, cache_dir)
-
-        remaining = self.chunks(misses, jobs)
-        broken: str | None = None
-        for _ in range(self.pool_rebuilds + 1):
-            workers = max(1, min(jobs, len(remaining)))
-            leftover: list[list[CellRequest]] = []
-            for kind, task, value in _pool_events(remaining, workers, submit):
-                if kind == "delivered":
-                    yield from value
-                elif kind == "failed":
-                    yield from self._recover_chunk(config, task, cache, value)
-                else:  # undelivered: a worker death broke the pool
-                    leftover, broken = task, value
-            remaining = leftover
-            if not remaining:
-                return
-            # Retry in a fresh pool: workers re-check the shared cache
-            # per cell, so everything the dead worker already persisted
-            # is recovered, not recomputed.
-        for chunk in remaining:
-            yield from self._recover_chunk(config, chunk, cache, broken)
-
-    def _recover_chunk(self, config, chunk, cache, error):
-        """An undeliverable chunk: its worker persisted each completed
-        cell as it went, so recover those from the shared cache and
-        fail only the genuinely unfinished cells."""
-        for request in chunk:
-            found = cache.load(config, request) if cache is not None else None
-            if found is not None:
-                yield CellResult(request, found, source="cache", stored=True)
-            else:
-                yield CellResult(request, None, error=error)
-
-
 # ----------------------------------------------------------------------
 # Registry.
 
@@ -426,5 +179,3 @@ def available_execution_backends() -> list[str]:
 
 
 register_execution_backend(SerialBackend())
-register_execution_backend(ProcessBackend())
-register_execution_backend(ChunkedBackend())

@@ -15,7 +15,7 @@ foreign-format file is treated as a miss and overwritten on the next
 store, never raised to the caller.  Writes go through a same-directory
 temp file + ``os.replace`` so concurrent workers — including workers
 on *other hosts* sharing the directory over a network mount (the
-``chunked`` execution backend's cooperation mode) — never tear each
+``workqueue`` execution backend's cooperation mode) — never tear each
 other's reads.  A temp file orphaned by a worker that died mid-write
 is unlinked on the failure path when possible, and stale leftovers
 from hard kills are swept by the coordinating
@@ -120,7 +120,7 @@ class SweepCache:
         interrupted store leaves no permanent ``*.json.tmp*`` litter;
         leftovers from workers killed too hard to clean up are swept
         by :meth:`sweep_stale_tmp` (called by the sweep *coordinator*,
-        not here — a store is the hot path of every chunked worker and
+        not here — a store is the hot path of every workqueue worker and
         must not pay an O(directory) glob over a network mount).
         """
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -134,7 +134,7 @@ class SweepCache:
             "cell": dataclasses.asdict(cell),
         }
         # PID alone is not unique across the hosts that may share this
-        # directory over a network mount (the chunked backend's
+        # directory over a network mount (the workqueue backend's
         # cooperation mode); the random component keeps two same-PID
         # writers on different machines from interleaving one file.
         tmp = path.with_name(

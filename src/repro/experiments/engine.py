@@ -15,12 +15,12 @@ module splits the old monolithic runner into three composable parts:
 * :class:`SweepExecutor` — resolves a plan against an in-memory memo
   and an optional on-disk :class:`~repro.experiments.cache.SweepCache`,
   dispatching misses through a pluggable *execution backend*
-  (:mod:`repro.experiments.backends`: ``serial`` / ``process`` /
-  ``chunked`` / ``workqueue``) and streaming completed cells back with
-  progress callbacks.
+  (:mod:`repro.experiments.backends`: in-process ``serial``, or the
+  ``workqueue`` worker pool of :mod:`repro.experiments.workqueue`) and
+  streaming completed cells back with progress callbacks.
 
-Cell evaluation is deterministic (fixed analysis seeds), so every
-backend produces bit-identical results on the surviving cells.
+Cell evaluation is deterministic (fixed analysis seeds), so both
+backends produce bit-identical results on the surviving cells.
 Failures are first-class: a cell that raises (e.g. an infeasible
 constraint's :class:`~repro.errors.WLOError`) becomes a ``"failed"``
 :class:`CellOutcome` carrying the exception text, while every other
@@ -30,6 +30,7 @@ one bad cell can never lose a sweep's worth of completed work.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
@@ -207,21 +208,25 @@ class Cell:
 #: process-global :class:`~repro.pipeline.cache.PassCache`, keyed by
 #: content hash.
 _PROGRAMS: dict[tuple[KernelConfig, str], tuple] = {}
+#: Serializes ``_PROGRAMS`` fills, so concurrent ``repro serve`` job
+#: threads share one pair per key (the per-program memos hang off it).
+_PROGRAMS_LOCK = threading.Lock()
 
 
 def kernel_programs(config: KernelConfig, kernel: str) -> tuple:
     """Build (or recall) one kernel's (benchmark, analysis-twin) pair."""
     key = (config, kernel)
-    found = _PROGRAMS.get(key)
-    if found is None:
-        builders = config.builders()
-        if kernel not in builders:
-            raise unknown_name_error(
-                FlowError, "kernel", kernel, config.kernel_names
-            )
-        build, build_twin = builders[kernel]
-        found = (build(), build_twin())
-        _PROGRAMS[key] = found
+    with _PROGRAMS_LOCK:
+        found = _PROGRAMS.get(key)
+        if found is None:
+            builders = config.builders()
+            if kernel not in builders:
+                raise unknown_name_error(
+                    FlowError, "kernel", kernel, config.kernel_names
+                )
+            build, build_twin = builders[kernel]
+            found = (build(), build_twin())
+            _PROGRAMS[key] = found
     return found
 
 
@@ -511,9 +516,8 @@ class SweepPlan:
         is always feasible at a looser constraint, so in-order
         execution hands every cell after a panel's first a usable warm
         seed.  The ordering is an *optimization*, not a contract —
-        backends that split or reorder the plan (``process``,
-        ``workqueue``) just get per-chunk or cold continuation, never
-        wrong answers.
+        continuation stores are per process, so a panel split across
+        ``workqueue`` workers runs partly cold, never wrong.
 
         ``format`` stamps every cell with a :mod:`repro.formats` name
         (``""`` = the fixed-point default); see :class:`CellRequest`.
@@ -639,9 +643,9 @@ class SweepExecutor:
     the optional on-disk cache, then evaluation through an execution
     backend from :mod:`repro.experiments.backends`.  ``backend=None``
     auto-selects: in-process ``serial`` when ``jobs <= 1`` or a single
-    cell is missing, the ``process`` pool otherwise; pass ``"serial"``
-    / ``"process"`` / ``"chunked"`` / ``"workqueue"`` (or any
-    registered name) to pin one.  Completed cells stream back through
+    cell is missing, the ``workqueue`` worker pool otherwise; pass
+    ``"serial"`` / ``"workqueue"`` (or any registered name) to pin
+    one.  Completed cells stream back through
     :meth:`run_iter` as they finish; failed cells stream too (source
     ``"failed"``), so the rest of the sweep always completes and
     persists.
@@ -734,7 +738,7 @@ class SweepExecutor:
             return
         name = self.backend
         if name is None:  # auto: pool only when it can pay off
-            name = "serial" if self.jobs == 1 or len(misses) == 1 else "process"
+            name = "serial" if self.jobs == 1 or len(misses) == 1 else "workqueue"
         backend = get_execution_backend(name)
         yield from backend.evaluate(
             config, misses, jobs=self.jobs, cache=self.cache

@@ -8,8 +8,8 @@ the WLO engine name, so ablation runs can never alias baseline cells),
 resolved through a :class:`~repro.experiments.engine.SweepExecutor`
 that layers an in-memory memo, an optional persistent on-disk cache,
 and a pluggable execution backend
-(:mod:`repro.experiments.backends`: ``serial`` / ``process`` /
-``chunked`` / ``workqueue``) for bulk :meth:`prefetch` fan-out.
+(:mod:`repro.experiments.backends`: ``serial`` / ``workqueue``) for
+bulk :meth:`prefetch` fan-out.
 Sweeps are fault-tolerant: a failing cell never aborts
 :meth:`prefetch` — it is reported in the returned stats while every
 other cell completes and persists; :meth:`cell` raises a
@@ -44,9 +44,10 @@ class ExperimentRunner:
     """Builds kernels and runs sweep cells with memoization.
 
     ``jobs``/``cache``/``progress`` configure the underlying executor:
-    ``jobs > 1`` makes :meth:`prefetch` fan cells out over a process
-    pool, ``cache`` (a :class:`~repro.experiments.cache.SweepCache`)
-    persists results across processes and sessions.
+    ``jobs > 1`` makes :meth:`prefetch` fan cells out over the
+    ``workqueue`` worker pool, ``cache`` (a
+    :class:`~repro.experiments.cache.SweepCache`) persists results
+    across processes and sessions.
     """
 
     n_samples: int = 2048
@@ -56,9 +57,8 @@ class ExperimentRunner:
     jobs: int = 1
     cache: object | None = None
     progress: object | None = None
-    #: Execution backend name (``serial``/``process``/``chunked``/
-    #: ``workqueue``); ``None`` auto-selects from ``jobs`` and the miss
-    #: count.
+    #: Execution backend name (``serial``/``workqueue``); ``None``
+    #: auto-selects from ``jobs`` and the miss count.
     backend: str | None = None
     _cells: dict[CellRequest, Cell] = field(default_factory=dict)
 

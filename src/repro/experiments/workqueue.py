@@ -1,29 +1,35 @@
-"""Active work-queue execution backend (the fifth dispatcher).
+"""The parallel execution backend: an active work queue.
 
-The pool backends (``process``/``chunked``) push a fixed partition of
-the miss list into a ``ProcessPoolExecutor`` and hope: a dead worker
-breaks the whole pool, a stalled worker serializes the tail, and a
-failed cell is final.  The ``workqueue`` backend inverts control — an
-active coordinator owns the queue and *pull-based* workers ask for
-work one lease at a time:
+``workqueue`` dispatches every ``--jobs N`` sweep (``serial`` is the
+in-process reference).  An active coordinator owns the queue and
+*pull-based* worker processes ask for work one lease at a time:
 
+* **Kernel affinity** — a worker is leased the next queued cell of the
+  kernel it last leased; when that kernel has none left, the first
+  queued cell of a kernel no other worker holds, and failing that the
+  first queued cell.  A kernel's analysis prefix and its twin-target
+  searches, which each process caches, thus run in one worker rather
+  than in every worker.
 * **Leases** — an assignment is a (ticket, cell) lease with a
   deadline.  Workers heartbeat while evaluating; a lease whose
   deadline lapses (dead or stalled worker) is reclaimed and handed to
-  the next ready worker.  First result wins; stale results from a
-  reclaimed lease are discarded.
-* **Retries** — a failed cell goes back in the queue with exponential
-  backoff; after ``max_attempts`` its last error becomes a normal
-  ``"failed"`` :class:`~repro.experiments.backends.CellResult`
-  (fault capture unchanged — one infeasible constraint still never
-  aborts a sweep).
+  the next ready worker.  First result wins; a stale failure from a
+  reclaimed lease is discarded.
+* **Fail once** — a cell that raised fails with the worker's exception
+  text, exactly as ``serial`` reports it: cell evaluation is
+  deterministic, so a retry could only raise again.  Only a lost
+  lease is retried, up to ``max_attempts`` leases per cell, after
+  which the loss becomes a normal ``"failed"``
+  :class:`~repro.experiments.backends.CellResult` (fault capture
+  unchanged — one infeasible constraint still never aborts a sweep).
 * **Cache-first assignment** — before a queued cell is leased, the
   coordinator re-checks the shared on-disk
   :class:`~repro.experiments.cache.SweepCache`: cells another host
   (or a previous attempt of a now-dead worker) already persisted are
   completed straight from the cache and never assigned.  Workers
-  load/store the cache directly too, like ``chunked`` ones, so
-  completed cells survive any crash.
+  load/store the cache directly too, so completed cells survive any
+  crash, and several hosts pointed at one cache directory fill one
+  sweep together.
 * **Worker respawn** — dead workers are detected by the coordinator,
   their leases reclaimed immediately, and replacements spawned from a
   bounded respawn budget; if every worker is gone and the budget is
@@ -31,13 +37,14 @@ work one lease at a time:
   hanging.
 
 The scheduling core (:class:`WorkQueueScheduler`) is pure and
-clock-injected — every transition takes an explicit ``now`` — so
-lease-reclaim, backoff and dedup logic is deterministically unit
-tested without real processes; :class:`WorkQueueBackend` drives it
-with real workers over ``multiprocessing`` queues.
+clock-injected — every transition that reads the clock takes an
+explicit ``now`` — so assignment, lease-reclaim and dedup logic is
+deterministically unit tested without real processes;
+:class:`WorkQueueBackend` drives it with real workers over
+``multiprocessing`` queues.
 
-Like every backend, ``workqueue`` is bit-identical to ``serial`` on
-surviving cells: it changes *where* and *when*
+Like ``serial``, ``workqueue`` is bit-identical on surviving cells: it
+changes *where* and *when*
 :func:`~repro.experiments.engine.evaluate_cell` runs, never what it
 computes.  ``repro serve`` (:mod:`repro.serve`) wraps this backend in
 a long-lived HTTP job service.
@@ -47,6 +54,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import queue as queue_module
 import threading
 import time
@@ -56,11 +64,11 @@ from repro.errors import ExecutionBackendError
 from repro.experiments.backends import (
     CellResult,
     ExecutionBackend,
-    _shippable_flow_specs,
     evaluate_request,
     register_execution_backend,
 )
 from repro.experiments.engine import CellRequest, KernelConfig
+from repro.pipeline import get_flow
 
 __all__ = [
     "WorkQueueBackend",
@@ -85,10 +93,7 @@ class _CellState:
     #: ``queued`` | ``leased`` | ``done`` | ``failed``
     status: str = "queued"
     attempts: int = 0
-    #: Backoff gate: not assignable before this time.
-    eligible_at: float = 0.0
     lease: _Lease | None = None
-    last_error: str | None = None
     result: CellResult | None = None
 
 
@@ -101,17 +106,19 @@ class Assignment:
 
 
 class WorkQueueScheduler:
-    """Lease/retry bookkeeping of the work-queue backend.
+    """Lease bookkeeping and kernel-affine assignment of the work queue.
 
-    Pure state machine over the plan's cells — every method takes an
-    explicit ``now`` (any monotonic float), so tests drive dead-worker
-    reclaim and backoff exhaustion with a fake clock.  Transitions::
+    Pure state machine over the plan's cells — every method that reads
+    the clock takes an explicit ``now`` (any monotonic float), so tests
+    drive dead-worker reclaim and lease exhaustion with a fake clock.
+    Transitions::
 
         queued --next_assignment--> leased --complete--> done
           ^                           |
-          |<----- fail (retry w/ backoff) / reclaim (lease lapsed)
-          |                           |
-          +------- attempts exhausted ----> failed
+          +-- reclaim / release ------+  (lease lost)
+                                      |
+                                      +--fail, or lease lost
+                                         max_attempts times--> failed
 
     Terminal transitions return the cell's final :class:`CellResult`
     so the driving backend can stream it; non-terminal ones return
@@ -125,7 +132,6 @@ class WorkQueueScheduler:
         *,
         max_attempts: int = 3,
         lease_timeout: float = 60.0,
-        retry_backoff: float = 0.25,
     ) -> None:
         if max_attempts < 1:
             raise ExecutionBackendError(
@@ -133,7 +139,6 @@ class WorkQueueScheduler:
             )
         self.max_attempts = max_attempts
         self.lease_timeout = float(lease_timeout)
-        self.retry_backoff = float(retry_backoff)
         # Plan order is preserved for assignment fairness and for
         # yielding deterministic `outcomes()`.
         self._cells: dict[CellRequest, _CellState] = {
@@ -141,6 +146,8 @@ class WorkQueueScheduler:
         }
         self._tickets: dict[int, CellRequest] = {}
         self._next_ticket = 0
+        #: The kernel of each worker's latest lease (its affinity).
+        self._kernels: dict[str, str] = {}
 
     # -- queries -------------------------------------------------------
     @property
@@ -156,16 +163,6 @@ class WorkQueueScheduler:
             tally[cell.status] += 1
         return tally
 
-    def next_eligible_at(self) -> float | None:
-        """Earliest backoff gate among queued cells (``None`` if no
-        cell is queued) — the backend's idle-wait bound."""
-        gates = [
-            cell.eligible_at
-            for cell in self._cells.values()
-            if cell.status == "queued"
-        ]
-        return min(gates) if gates else None
-
     def outcomes(self) -> list[CellResult]:
         """Terminal results in plan order (every cell, once finished)."""
         return [
@@ -178,18 +175,34 @@ class WorkQueueScheduler:
     def next_assignment(
         self, worker: str, now: float
     ) -> Assignment | None:
-        """Lease the first eligible queued cell to ``worker``."""
-        for cell in self._cells.values():
-            if cell.status != "queued" or cell.eligible_at > now:
-                continue
-            self._next_ticket += 1
-            ticket = self._next_ticket
-            cell.status = "leased"
-            cell.attempts += 1
-            cell.lease = _Lease(ticket, worker, now + self.lease_timeout)
-            self._tickets[ticket] = cell.request
-            return Assignment(ticket, cell.request)
-        return None
+        """Lease ``worker`` a queued cell, kernel-affine.
+
+        In plan order: the first queued cell of the kernel the worker
+        last leased; else the first of a kernel no other worker holds;
+        else the first queued cell.
+        """
+        queued = [
+            cell for cell in self._cells.values() if cell.status == "queued"
+        ]
+        if not queued:
+            return None
+        own = self._kernels.get(worker)
+        held = {
+            kernel for other, kernel in self._kernels.items()
+            if other != worker
+        }
+        cell = next(
+            (c for c in queued if c.request.kernel == own),
+            next((c for c in queued if c.request.kernel not in held), queued[0]),
+        )
+        self._next_ticket += 1
+        ticket = self._next_ticket
+        cell.status = "leased"
+        cell.attempts += 1
+        cell.lease = _Lease(ticket, worker, now + self.lease_timeout)
+        self._tickets[ticket] = cell.request
+        self._kernels[worker] = cell.request.kernel
+        return Assignment(ticket, cell.request)
 
     def heartbeat(self, worker: str, now: float) -> None:
         """Extend the deadlines of every lease ``worker`` holds."""
@@ -230,8 +243,9 @@ class WorkQueueScheduler:
         cell.result = result
         return result
 
-    def fail(self, ticket: int, error: str, now: float) -> CellResult | None:
-        """Deliver a failure; requeue with backoff or exhaust.
+    def fail(self, ticket: int, error: str) -> CellResult | None:
+        """Deliver a failure: the cell is final, with ``error`` as the
+        worker reported it.
 
         Ignored when the ticket is stale (the cell was reclaimed and
         re-leased, or already finished) — only the lease currently on
@@ -246,7 +260,7 @@ class WorkQueueScheduler:
             or cell.lease.ticket != ticket
         ):
             return None
-        return self._retry_or_exhaust(cell, error, now)
+        return self._fail_cell(cell, error)
 
     def reclaim(self, now: float) -> list[CellResult]:
         """Requeue every lease whose deadline lapsed (dead or stalled
@@ -259,19 +273,19 @@ class WorkQueueScheduler:
                 and cell.lease is not None
                 and cell.lease.expires_at <= now
             ):
-                error = (
+                terminal = self._lose_lease(
+                    cell,
                     f"lease expired on worker {cell.lease.worker!r} "
-                    f"(dead or stalled)"
-                )
-                terminal = self._retry_or_exhaust(
-                    cell, error, now, backoff=False
+                    f"(dead or stalled)",
                 )
                 if terminal is not None:
                     exhausted.append(terminal)
         return exhausted
 
-    def release_worker(self, worker: str, now: float) -> list[CellResult]:
-        """Immediately requeue every lease of a known-dead worker."""
+    def release_worker(self, worker: str) -> list[CellResult]:
+        """Immediately requeue every lease of a known-dead worker and
+        forget its kernel, which the next worker that asks may take."""
+        self._kernels.pop(worker, None)
         exhausted: list[CellResult] = []
         for cell in self._cells.values():
             if (
@@ -279,51 +293,35 @@ class WorkQueueScheduler:
                 and cell.lease is not None
                 and cell.lease.worker == worker
             ):
-                terminal = self._retry_or_exhaust(
-                    cell, f"worker {worker!r} died", now, backoff=False
-                )
+                terminal = self._lose_lease(cell, f"worker {worker!r} died")
                 if terminal is not None:
                     exhausted.append(terminal)
         return exhausted
 
     def abort_pending(self, error: str) -> list[CellResult]:
         """Terminally fail every non-finished cell (no workers left)."""
-        failures: list[CellResult] = []
-        for cell in self._cells.values():
-            if cell.status in ("done", "failed"):
-                continue
-            cell.status = "failed"
-            cell.lease = None
-            cell.result = CellResult(cell.request, None, error=error)
-            failures.append(cell.result)
-        return failures
+        return [
+            self._fail_cell(cell, error)
+            for cell in self._cells.values()
+            if cell.status not in ("done", "failed")
+        ]
 
     # ------------------------------------------------------------------
-    def _retry_or_exhaust(
-        self,
-        cell: _CellState,
-        error: str,
-        now: float,
-        backoff: bool = True,
-    ) -> CellResult | None:
+    def _fail_cell(self, cell: _CellState, error: str) -> CellResult:
+        cell.status = "failed"
         cell.lease = None
-        cell.last_error = error
+        cell.result = CellResult(cell.request, None, error=error)
+        return cell.result
+
+    def _lose_lease(self, cell: _CellState, error: str) -> CellResult | None:
+        """Requeue a cell whose lease was lost, or fail it once its
+        leases are spent."""
         if cell.attempts >= self.max_attempts:
-            cell.status = "failed"
-            # Keep the captured exception text first — consumers match
-            # on the `TypeName: message` prefix — and append the retry
-            # provenance.
-            cell.result = CellResult(
-                cell.request, None,
-                error=f"{error} (after {cell.attempts} attempts)",
+            return self._fail_cell(
+                cell, f"{error} (after {cell.attempts} attempts)"
             )
-            return cell.result
         cell.status = "queued"
-        cell.eligible_at = (
-            now + self.retry_backoff * (2 ** (cell.attempts - 1))
-            if backoff
-            else now
-        )
+        cell.lease = None
         return None
 
 
@@ -413,17 +411,41 @@ class _WorkerHandle:
 # Backend.
 
 
+def _shippable_flow_specs(requests: list[CellRequest]) -> tuple:
+    """The plan's flow declarations, filtered to what pickling allows.
+
+    Every flow a worker will resolve is shipped — the requests' joint
+    flows plus the ``float``/``wlo-first`` roles of every cell — so
+    runtime declarations *and* runtime re-declarations of built-ins
+    reach spawn-started workers (whose registries otherwise hold only
+    the stock declarations, silently diverging from the cache key the
+    parent computed).  A spec holding unpicklable callables (e.g.
+    closures defined in a REPL) is silently skipped — on fork
+    platforms the worker inherits it anyway, elsewhere the worker
+    raises the registry's clear unknown-flow error.
+    """
+    names = dict.fromkeys(["float", "wlo-first"])
+    names.update(dict.fromkeys(r.flow for r in requests))
+    specs = []
+    for name in names:
+        spec = get_flow(name)
+        try:
+            pickle.dumps(spec)
+        except Exception:
+            continue
+        specs.append(spec)
+    return tuple(specs)
+
+
 class WorkQueueBackend(ExecutionBackend):
     """Coordinator + pull-based leased workers (see module docstring).
 
-    Class attributes are the tuning knobs, overridable per instance
-    like the other backends' (``pool_rebuilds`` etc.):
+    Class attributes are the tuning knobs, overridable per instance:
 
-    * ``max_attempts`` — evaluations of a cell before its last error
-      becomes final;
+    * ``max_attempts`` — leases of a cell before a lost lease (dead or
+      stalled worker) becomes its final error;
     * ``lease_timeout`` — seconds without a heartbeat before a lease
       is reclaimed;
-    * ``retry_backoff`` — base seconds of the exponential retry gate;
     * ``respawns`` — replacement workers spawned after deaths;
     * ``chaos`` — test hook forwarded to the *first* initial worker
       (``"kill-first-lease"``).
@@ -432,12 +454,12 @@ class WorkQueueBackend(ExecutionBackend):
     name = "workqueue"
     description = (
         "active coordinator with leased pull-based workers; "
-        "heartbeats, retries with backoff, cache-first assignment"
+        "kernel-affine assignment, heartbeats, lease reclaim, "
+        "cache-first assignment"
     )
 
     max_attempts = 3
     lease_timeout = 60.0
-    retry_backoff = 0.25
     respawns = 2
     #: Coordinator event-loop tick (seconds) when idle.
     tick = 0.05
@@ -452,7 +474,6 @@ class WorkQueueBackend(ExecutionBackend):
             misses,
             max_attempts=self.max_attempts,
             lease_timeout=self.lease_timeout,
-            retry_backoff=self.retry_backoff,
         )
         context = multiprocessing.get_context()
         events = context.Queue()
@@ -533,7 +554,7 @@ class WorkQueueBackend(ExecutionBackend):
                         if terminal is not None:
                             yield terminal
                     else:
-                        terminal = scheduler.fail(ticket, result.error, now)
+                        terminal = scheduler.fail(ticket, result.error)
                         if terminal is not None:
                             yield terminal
                 # Lapsed leases (stalled workers that stopped
@@ -549,7 +570,7 @@ class WorkQueueBackend(ExecutionBackend):
                     fleet.pop(dead_id)
                     if dead_id in idle:
                         idle.remove(dead_id)
-                    for terminal in scheduler.release_worker(dead_id, now):
+                    for terminal in scheduler.release_worker(dead_id):
                         yield terminal
                     if not scheduler.finished and respawns_left > 0:
                         respawns_left -= 1

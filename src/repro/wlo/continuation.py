@@ -25,8 +25,8 @@ The store is best-effort by design: a miss means a cold search, and a
 cell's numbers are *quality-contracted* (feasible, cost no worse than
 the engine's cold result — pinned by ``tests/test_wlo_continuation``)
 rather than bit-pinned to a particular neighbor being available.  Pool
-workers each hold their own store, so ``process``/``workqueue`` sweeps
-degrade to per-worker (or cold) continuation without coordination.
+workers each hold their own store, so ``workqueue`` sweeps degrade to
+per-worker (or cold) continuation without coordination.
 """
 
 from __future__ import annotations

@@ -270,7 +270,7 @@ class TestUnknownNameErrors:
         ("execution backend", ExecutionBackendError,
          lambda: __import__("repro.experiments.backends", fromlist=["x"])
          .get_execution_backend("warp"),
-         ["serial", "process", "chunked", "workqueue"]),
+         ["serial", "workqueue"]),
         ("target", TargetError,
          lambda: __import__("repro.targets.registry", fromlist=["x"])
          .get_target("z80"),
@@ -330,7 +330,7 @@ class TestRegistryListing:
         ]
         assert by_name["scalar"]["tiers"] == []
         assert {b["name"] for b in listing["execution_backends"]} == {
-            "serial", "process", "chunked", "workqueue"
+            "serial", "workqueue"
         }
         assert {k["name"] for k in listing["kernels"]} >= {"fir", "iir", "conv"}
         assert "xentium" in listing["targets"]

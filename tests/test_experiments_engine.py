@@ -238,70 +238,27 @@ class TestCacheTmpHygiene:
 FAULTY_GRID = (-15.0, -400.0)
 
 
-class _InstantlyBrokenPool:
-    """Stands in for ``ProcessPoolExecutor``: every submitted future
-    raises :class:`BrokenProcessPool`, simulating a worker killed
-    before delivering anything (OOM, segfault)."""
-
-    broken_builds = None  # None: always broken; N: first N pools break
-    built = 0
-
-    def __init__(self, max_workers=None):
-        cls = type(self)
-        cls.built += 1
-        self.broken = (
-            cls.broken_builds is None or cls.built <= cls.broken_builds
-        )
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
-
-        future = Future()
-        if self.broken:
-            future.set_exception(BrokenProcessPool("worker died"))
-        else:
-            future.set_result(fn(*args))  # healthy rebuild: run inline
-        return future
-
-
-class _BreaksOncePool(_InstantlyBrokenPool):
-    """First pool breaks (worker death), the rebuilt pool is healthy."""
-
-    broken_builds = 1
-    built = 0
-
-
 class TestExecutionBackends:
     @pytest.fixture(scope="class")
     def faulty_plan(self, config) -> SweepPlan:
         return SweepPlan.build(config, ("fir",), ("xentium",), FAULTY_GRID)
 
     def test_registry(self):
-        assert available_execution_backends() == [
-            "chunked", "process", "serial", "workqueue"
-        ]
+        assert available_execution_backends() == ["serial", "workqueue"]
         assert get_execution_backend("SERIAL").name == "serial"
-        with pytest.raises(
-            ExecutionBackendError, match="unknown execution backend"
-        ):
-            get_execution_backend("warp")
+        for retired in ("warp", "process", "chunked"):
+            with pytest.raises(
+                ExecutionBackendError, match="unknown execution backend"
+            ):
+                get_execution_backend(retired)
 
-    @pytest.mark.parametrize(
-        "backend", ["serial", "process", "chunked", "workqueue"]
-    )
+    @pytest.mark.parametrize("backend", ["serial", "workqueue"])
     def test_failure_is_isolated_and_survivors_persist(
         self, backend, config, faulty_plan, reference_cells, tmp_path
     ):
         """One infeasible cell: every backend completes the other cell
         bit-identically, persists it to disk, and reports exactly one
-        failure carrying the exception text."""
+        failure carrying the exception text, unchanged."""
         cache = SweepCache(tmp_path)
         executor = SweepExecutor(config, cache=cache, jobs=2, backend=backend)
         cells, stats = executor.run(faulty_plan)
@@ -309,7 +266,10 @@ class TestExecutionBackends:
         assert stats.total == len(faulty_plan)
         ((request, error),) = stats.failures
         assert request.constraint_db == -400.0
-        assert error.startswith("WLOError") and "infeasible" in error
+        assert error == (
+            "WLOError: accuracy constraint -400.0 dB is infeasible even "
+            "at 32-bit word lengths"
+        )
         survivor = CellRequest("fir", "xentium", -15.0)
         assert cells == {survivor: reference_cells[survivor]}
         assert len(cache) == 1
@@ -343,110 +303,6 @@ class TestExecutionBackends:
         line = stream.getvalue()
         assert "failed" in line and "WLOError" in line and "-400" in line
 
-    def test_chunks_are_kernel_major_and_order_preserving(self, config):
-        backend = get_execution_backend("chunked")
-        plan = SweepPlan.build(
-            config, ("fir", "iir"), ("xentium",), (-15.0, -25.0, -45.0)
-        )
-        chunks = backend.chunks(plan.requests, jobs=2)
-        assert [r for chunk in chunks for r in chunk] == plan.requests
-        for chunk in chunks:
-            assert len({r.kernel for r in chunk}) == 1  # never spans kernels
-
-    def test_chunked_workers_cooperate_through_shared_cache(
-        self, config, reference_cells, tmp_path
-    ):
-        """Multi-host mode: one of two cells is already in the shared
-        cache (as if another host stored it).  Workers must load it,
-        compute only the other, and persist the new cell worker-side —
-        nothing left for the coordinating process to write."""
-        cache = SweepCache(tmp_path)
-        first = CellRequest("fir", "xentium", -15.0)
-        second = CellRequest("fir", "xentium", -45.0)
-        cache.store(config, first, reference_cells[first])
-        backend = get_execution_backend("chunked")
-        results = {
-            r.request: r
-            for r in backend.evaluate(
-                config, [first, second], jobs=2, cache=cache
-            )
-        }
-        assert results[first].source == "cache" and results[first].stored
-        assert results[second].source == "computed" and results[second].stored
-        assert results[second].cell == reference_cells[second]
-        assert len(cache) == 2
-
-    def test_process_backend_retries_broken_pool_in_fresh_pool(
-        self, config, reference_cells, monkeypatch
-    ):
-        """A transient worker death breaks the pool; the undelivered
-        cells are retried in a fresh pool (never in the coordinator)
-        and all survive."""
-        monkeypatch.setattr(_BreaksOncePool, "built", 0)
-        monkeypatch.setattr(
-            "repro.experiments.backends.ProcessPoolExecutor",
-            _BreaksOncePool,
-        )
-        backend = get_execution_backend("process")
-        requests = [
-            CellRequest("fir", "xentium", -15.0),
-            CellRequest("fir", "xentium", -45.0),
-        ]
-        results = list(backend.evaluate(config, requests, jobs=2))
-        assert _BreaksOncePool.built == 2  # the rebuilt pool
-        assert {r.request: r.cell for r in results} == {
-            request: reference_cells[request] for request in requests
-        }
-
-    def test_process_backend_fails_cleanly_when_pool_stays_broken(
-        self, config, monkeypatch
-    ):
-        """Permanent breakage (e.g. a cell that always kills its
-        worker): every undelivered cell fails with the breakage text —
-        no coordinator crash, no lost bookkeeping."""
-        monkeypatch.setattr(_InstantlyBrokenPool, "built", 0)
-        monkeypatch.setattr(
-            "repro.experiments.backends.ProcessPoolExecutor",
-            _InstantlyBrokenPool,
-        )
-        backend = get_execution_backend("process")
-        requests = [
-            CellRequest("fir", "xentium", -15.0),
-            CellRequest("fir", "xentium", -45.0),
-        ]
-        results = list(backend.evaluate(config, requests, jobs=2))
-        assert len(results) == len(requests)
-        assert all("BrokenProcessPool" in r.error for r in results)
-
-    def test_chunked_backend_reports_persisted_cells_truthfully(
-        self, config, reference_cells, tmp_path, monkeypatch
-    ):
-        """A worker that dies mid-chunk already persisted its finished
-        cells: the backend must recover those from the shared cache and
-        fail only the genuinely unfinished ones."""
-        cache = SweepCache(tmp_path)
-        first = CellRequest("fir", "xentium", -15.0)
-        second = CellRequest("fir", "xentium", -45.0)
-        cache.store(config, first, reference_cells[first])  # worker got here
-        monkeypatch.setattr(_InstantlyBrokenPool, "built", 0)
-        monkeypatch.setattr(
-            "repro.experiments.backends.ProcessPoolExecutor",
-            _InstantlyBrokenPool,
-        )
-        backend = get_execution_backend("chunked")
-        monkeypatch.setattr(backend, "oversubscribe", 1)  # one 2-cell chunk
-        assert backend.chunks([first, second], jobs=1) == [[first, second]]
-        results = {
-            r.request: r
-            for r in backend.evaluate(
-                config, [first, second], jobs=1, cache=cache
-            )
-        }
-        recovered = results[first]
-        assert recovered.cell == reference_cells[first]
-        assert recovered.source == "cache" and recovered.stored
-        assert "BrokenProcessPool" in results[second].error
-
     def test_runner_cell_raises_with_captured_error(self):
         runner = ExperimentRunner(**SMALL)
         with pytest.raises(FlowError, match="infeasible"):
@@ -456,9 +312,9 @@ class TestExecutionBackends:
 
     def test_explicit_backend_reaches_the_runner(self, tmp_path):
         runner = ExperimentRunner(
-            **SMALL, backend="chunked", jobs=2, cache=SweepCache(tmp_path)
+            **SMALL, backend="workqueue", jobs=2, cache=SweepCache(tmp_path)
         )
-        assert runner.executor.backend == "chunked"
+        assert runner.executor.backend == "workqueue"
         stats = runner.prefetch(("fir",), ("xentium",), (-15.0,))
         assert stats.computed == 1 and len(SweepCache(tmp_path)) == 1
 
@@ -596,6 +452,36 @@ class TestConcurrentEvaluation:
         for got in results:
             assert got == expected
 
+    def test_threads_share_one_kernel_build(self):
+        """Cold concurrent lookups of one kernel get one (benchmark,
+        twin) pair: the per-program memos hang off those objects."""
+        import sys
+        import threading
+
+        from repro.experiments.engine import kernel_programs
+
+        self._forget_process_memos()
+        barrier = threading.Barrier(4)
+        pairs: list[tuple] = []
+
+        def work() -> None:
+            barrier.wait(timeout=60)
+            pairs.append(kernel_programs(self.CONFIG, "iir"))
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(pairs) == 4
+        assert all(pair is pairs[0] for pair in pairs)
+
 
 class TestSweepCLI:
     def test_sweep_cold_then_warm(self, tmp_path, capsys):
@@ -674,7 +560,7 @@ class TestSweepCLI:
         from repro.cli import main
 
         rows = {}
-        for backend in ("serial", "chunked", "workqueue"):
+        for backend in ("serial", "workqueue"):
             assert main(["sweep", "--only", "fir:xentium", "--grid", "-15",
                          "--backend", backend, "--jobs", "2",
                          "--cache-dir", str(tmp_path / backend)]) == 0
@@ -683,4 +569,4 @@ class TestSweepCLI:
                 line for line in out.splitlines() if line.startswith("   fir")
             ]
             assert rows[backend]
-        assert rows["serial"] == rows["chunked"] == rows["workqueue"]
+        assert rows["serial"] == rows["workqueue"]

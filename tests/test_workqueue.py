@@ -1,15 +1,20 @@
 """Work-queue backend tests.
 
 The scheduler core is exercised deterministically with an explicit
-fake clock (no processes, no sleeps): lease reclaim from dead/stalled
-workers, failed-cell retry with exponential backoff and exhaustion,
-first-result-wins dedup, cache-first completion.  The backend
-integration tests then run real worker processes, including the chaos
-hook that hard-kills a worker on its first lease — the "a killed
-worker loses no completed cells and the sweep finishes" guarantee.
+fake clock (no processes, no sleeps): kernel-affine assignment, lease
+reclaim from dead/stalled workers and its exhaustion, fail-once
+failures, first-result-wins dedup, cache-first completion.  The
+backend integration tests then run real worker processes, including
+the chaos hook that hard-kills a worker on its first lease — the "a
+killed worker loses no completed cells and the sweep finishes"
+guarantee — and a cell that kills every worker it reaches.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import re
 
 import pytest
 
@@ -30,6 +35,13 @@ SMALL = dict(
 
 R1 = CellRequest("fir", "xentium", -15.0)
 R2 = CellRequest("fir", "xentium", -45.0)
+#: The infeasible cell: -400 dB is unreachable even at 32-bit word
+#: lengths, so the WLO pass raises for exactly this cell.
+INFEASIBLE = CellRequest("fir", "xentium", -400.0)
+INFEASIBLE_ERROR = (
+    "WLOError: accuracy constraint -400.0 dB is infeasible even at "
+    "32-bit word lengths"
+)
 
 
 @pytest.fixture(scope="module")
@@ -94,41 +106,49 @@ class TestSchedulerCore:
     def test_release_worker_requeues_immediately(self):
         scheduler = WorkQueueScheduler([R1], lease_timeout=1000.0)
         scheduler.next_assignment("w0", now=0.0)
-        assert scheduler.release_worker("w0", now=0.1) == []
+        assert scheduler.release_worker("w0") == []
         b = scheduler.next_assignment("w1", now=0.2)
         assert b is not None and b.request == R1
 
-    def test_retry_backoff_is_exponential(self):
-        scheduler = WorkQueueScheduler([R1], retry_backoff=1.0, max_attempts=3)
-        a = scheduler.next_assignment("w0", now=0.0)
-        assert scheduler.fail(a.ticket, "Boom: 1", now=0.0) is None
-        # First retry gated by backoff * 2**0 = 1s.
-        assert scheduler.next_assignment("w0", now=0.5) is None
-        b = scheduler.next_assignment("w0", now=1.0)
-        assert b is not None
-        assert scheduler.fail(b.ticket, "Boom: 2", now=1.0) is None
-        # Second retry gated by backoff * 2**1 = 2s.
-        assert scheduler.next_assignment("w0", now=2.5) is None
-        assert scheduler.next_assignment("w0", now=3.0) is not None
+    def test_assignment_is_kernel_affine(self):
+        """A worker keeps to the kernel it last leased; a newcomer
+        takes the first kernel nobody holds; with every queued kernel
+        held, the first queued cell in plan order."""
+        fir1, fir2 = R1, R2
+        iir1, iir2 = (CellRequest("iir", "xentium", c) for c in (-15.0, -45.0))
+        conv1 = CellRequest("conv", "xentium", -15.0)
+        scheduler = WorkQueueScheduler([fir1, fir2, iir1, iir2, conv1])
+        assert scheduler.next_assignment("w0", now=0.0).request == fir1
+        assert scheduler.next_assignment("w1", now=0.0).request == iir1
+        assert scheduler.next_assignment("w2", now=0.0).request == conv1
+        # Own kernel first, even ahead of plan order.
+        assert scheduler.next_assignment("w1", now=0.0).request == iir2
+        # w2's kernel is spent and fir/iir are held: first queued.
+        assert scheduler.next_assignment("w2", now=0.0).request == fir2
+        assert scheduler.next_assignment("w0", now=0.0) is None
 
-    def test_backoff_exhaustion_becomes_failed_outcome(self):
-        """Satellite edge case: after max_attempts the last error is
-        final, keeps the `TypeName: message` prefix, and records the
-        attempt count."""
-        scheduler = WorkQueueScheduler([R1, R2], retry_backoff=0.0,
-                                       max_attempts=2)
-        terminal = None
-        for now in (0.0, 1.0):
-            a = scheduler.next_assignment("w0", now=now)
-            terminal = scheduler.fail(
-                a.ticket, "WLOError: constraint is infeasible", now=now
-            )
-        assert terminal is not None
-        assert terminal.cell is None
-        assert terminal.error.startswith("WLOError: constraint is infeasible")
-        assert "(after 2 attempts)" in terminal.error
+    def test_released_kernel_goes_to_the_next_worker_that_asks(self):
+        iir1 = CellRequest("iir", "xentium", -15.0)
+        scheduler = WorkQueueScheduler([R1, R2, iir1])
+        assert scheduler.next_assignment("w0", now=0.0).request == R1
+        assert scheduler.next_assignment("w1", now=0.0).request == iir1
+        scheduler.release_worker("w0")  # died holding fir
+        # fir is no longer held, so the newcomer takes it in plan order.
+        assert scheduler.next_assignment("w2", now=0.0).request == R1
+        assert scheduler.next_assignment("w2", now=0.0).request == R2
+
+    def test_failed_cell_is_final_with_its_error_unchanged(self):
+        """A cell that raised fails on its first delivery with the
+        worker's exception text as is, like the serial backend — a
+        deterministic cell would only raise again."""
+        scheduler = WorkQueueScheduler([R1, R2], max_attempts=3)
+        a = scheduler.next_assignment("w0", now=0.0)
+        terminal = scheduler.fail(a.ticket, INFEASIBLE_ERROR)
+        assert terminal is not None and terminal.cell is None
+        assert terminal.error == INFEASIBLE_ERROR
+        assert scheduler.counts()["failed"] == 1
         # The sibling cell is untouched and still schedulable.
-        b = scheduler.next_assignment("w0", now=2.0)
+        b = scheduler.next_assignment("w0", now=0.0)
         assert b is not None and b.request == R2
         assert scheduler.complete(b.ticket, _done(R2)) is not None
         assert scheduler.finished
@@ -153,7 +173,7 @@ class TestSchedulerCore:
         a = scheduler.next_assignment("w0", now=0.0)
         scheduler.reclaim(now=5.0)
         b = scheduler.next_assignment("w1", now=5.0)
-        assert scheduler.fail(a.ticket, "Boom: stale", now=6.0) is None
+        assert scheduler.fail(a.ticket, "Boom: stale") is None
         assert scheduler.counts()["leased"] == 1  # w1's lease unharmed
         assert scheduler.complete(b.ticket, _done(R1)) is not None
 
@@ -242,22 +262,73 @@ class TestWorkQueueBackend:
         assert {req: r.cell for req, r in results.items()} == reference_cells
         assert len(cache) == 2  # both persisted despite the kill
 
-    def test_infeasible_cell_fails_after_retries_others_survive(
+    def test_infeasible_cell_fails_once_others_survive(
         self, config, reference_cells
     ):
-        faulty = CellRequest("fir", "xentium", -400.0)
-        backend = WorkQueueBackend()
-        backend.retry_backoff = 0.01
         results = {
             r.request: r
-            for r in backend.evaluate(
-                config, [R1, faulty], jobs=2, cache=None
+            for r in WorkQueueBackend().evaluate(
+                config, [R1, INFEASIBLE], jobs=2, cache=None
             )
         }
         assert results[R1].cell == reference_cells[R1]
-        error = results[faulty].error
-        assert error.startswith("WLOError") and "infeasible" in error
-        assert f"(after {backend.max_attempts} attempts)" in error
+        assert results[INFEASIBLE].error == INFEASIBLE_ERROR
+
+    def test_workers_cooperate_through_shared_cache(
+        self, config, reference_cells, tmp_path
+    ):
+        """Multi-host mode, worker side: a cell another host persisted
+        after it was leased loads from the shared cache; the other cell
+        computes and persists worker-side — nothing left for the
+        coordinating process to write.  The worker loop runs in-process
+        on plain queues."""
+        import queue
+
+        from repro.experiments.workqueue import _workqueue_worker
+
+        cache = SweepCache(tmp_path)
+        cache.store(config, R1, reference_cells[R1])
+        tasks, events = queue.Queue(), queue.Queue()
+        for ticket, request in enumerate((R1, R2)):
+            tasks.put(("cell", ticket, request))
+        tasks.put(("stop",))
+        _workqueue_worker("w0", tasks, events, config, (), str(tmp_path), 60.0)
+        results = {}
+        while not events.empty():
+            kind, _worker, payload = events.get_nowait()
+            if kind == "result":
+                results[payload[1].request] = payload[1]
+        assert results[R1].source == "cache" and results[R1].stored
+        assert results[R2].source == "computed" and results[R2].stored
+        assert results[R2].cell == reference_cells[R2]
+        assert len(cache) == 2
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="the patched evaluation reaches workers only when forked",
+    )
+    def test_cell_that_kills_every_worker_fails_cleanly(
+        self, config, monkeypatch
+    ):
+        """Every worker dies on its first lease: the dead workers'
+        leases and the respawn budget run out, the backend returns, and
+        each cell fails naming the dead worker or the spent budget."""
+        monkeypatch.setattr(
+            "repro.experiments.workqueue.evaluate_request",
+            lambda *args: os._exit(1),
+        )
+        results = list(
+            WorkQueueBackend().evaluate(config, [R1, R2], jobs=2, cache=None)
+        )
+        assert len(results) == 2
+        assert {r.request for r in results} == {R1, R2}
+        for result in results:
+            assert result.cell is None
+            assert re.fullmatch(
+                r"worker 'wq-\d+' died \(after \d+ attempts\)"
+                r"|all workqueue workers died \(respawn budget exhausted\)",
+                result.error,
+            ), result.error
 
     def test_empty_miss_list_is_a_noop(self, config):
         assert list(WorkQueueBackend().evaluate(config, [], jobs=2)) == []
