@@ -8,6 +8,7 @@ detection calls it O(candidates^2) times).
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import platform
@@ -22,7 +23,12 @@ import pytest
 
 from repro.accuracy import extract_gains
 from repro.experiments.engine import KernelConfig, kernel_programs
-from repro.fixedpoint import FixedPointInterpreter, SlotMap, analyze_ranges
+from repro.fixedpoint import (
+    FixedPointInterpreter,
+    SlotMap,
+    analyze_ranges,
+    simulation_ranges,
+)
 from repro.ir import Interpreter, build_dependence_graph, get_backend
 from repro.codegen import lower_scalar_program, lower_simd_program
 from repro.scheduler import schedule_block
@@ -197,16 +203,20 @@ ANALYSIS_PREFIX_ROUNDS = 5
 #: summed over the paper twins.  Both run in this test, so machine
 #: speed cancels; it read 3.2-3.5 when the graph replaced the trace.
 ANALYSIS_PREFIX_MIN_RATIO = 2.5
+#: Bound on the batch probe's seconds (joined per observation) over
+#: ``simulation_ranges``'s on the iir twin.  It reads about 11 on a
+#: 2-core VM (0.06 s against 0.71 s); walking the copies in the graph
+#: loop instead of resolving them once per call read about 4.5.
+SIMULATION_RANGES_MIN_RATIO = 5.0
 
 
-def _gain_reference():
-    """The traced reference extraction the tests hold gains to."""
+def _reference(name: str):
+    """A reference module of ``tests/`` that the tests hold a fast
+    path to."""
     tests = str(Path(__file__).resolve().parent.parent / "tests")
     if tests not in sys.path:
         sys.path.append(tests)
-    import gain_reference
-
-    return gain_reference
+    return importlib.import_module(name)
 
 
 def test_bench_analysis_prefix(results_dir):
@@ -219,12 +229,19 @@ def test_bench_analysis_prefix(results_dir):
     median seconds of the baseline are at least
     ``ANALYSIS_PREFIX_MIN_RATIO`` times those of ``extract_gains``.
 
+    The iir twin's simulation ranges (its interval analysis diverges)
+    come from the same graph; their baseline is the batched executor's
+    range probe, joined per observation as the tests'
+    ``range_reference`` does.  The bars: equal ranges to the bit, and
+    the baseline's median seconds at least
+    ``SIMULATION_RANGES_MIN_RATIO`` times those of ``simulation_ranges``.
+
     Deliberately free of the pytest-benchmark fixture so CI can
     smoke-run it with a bare pytest install.
     """
     from conftest import record_bench
 
-    reference = _gain_reference()
+    reference = _reference("gain_reference")
     config = KernelConfig()
     kernels: dict[str, dict] = {}
     for kernel in config.kernel_names:
@@ -248,6 +265,19 @@ def test_bench_analysis_prefix(results_dir):
             "ranges_s": round(medians["ranges"], 4),
         }
 
+    ranges_reference = _reference("range_reference")
+    twin = kernel_programs(config, "iir")[1]
+    slotmap = SlotMap(twin)
+    seconds = {"probe": [], "graph": []}
+    for _ in range(ANALYSIS_PREFIX_ROUNDS):
+        started = time.perf_counter()
+        probed = ranges_reference.join_per_observation(twin, slotmap, "batch")
+        seconds["probe"].append(time.perf_counter() - started)
+        started = time.perf_counter()
+        graphed = simulation_ranges(twin, slotmap, backend="batch").ranges
+        seconds["graph"].append(time.perf_counter() - started)
+    probe_s, graph_s = (statistics.median(seconds[n]) for n in ("probe", "graph"))
+
     traced = sum(k["traced_gains_s"] for k in kernels.values())
     graph = sum(k["gains_s"] for k in kernels.values())
     ratio = traced / graph
@@ -260,9 +290,16 @@ def test_bench_analysis_prefix(results_dir):
         "ranges_s": round(sum(k["ranges_s"] for k in kernels.values()), 4),
         "ratio": round(ratio, 2),
         "min_ratio": ANALYSIS_PREFIX_MIN_RATIO,
+        "iir_probe_ranges_s": round(probe_s, 4),
+        "iir_simulation_ranges_s": round(graph_s, 4),
+        "simulation_ranges_ratio": round(probe_s / graph_s, 2),
+        "simulation_ranges_min_ratio": SIMULATION_RANGES_MIN_RATIO,
     })
-    # The bar: no per-instance trace, and it shows.
+    # The bars: no per-instance trace, and it shows; and the graph's
+    # ranges are the probe's, faster.
     assert ratio >= ANALYSIS_PREFIX_MIN_RATIO
+    assert ranges_reference.range_bits(graphed) == ranges_reference.range_bits(probed)
+    assert probe_s / graph_s >= SIMULATION_RANGES_MIN_RATIO
 
 
 #: Timed rounds per path of the joint-round bench; each reads its median.
@@ -271,16 +308,6 @@ JOINT_ROUND_ROUNDS = 5
 #: on the conv panel.  Both run in this test, so machine speed cancels;
 #: it read 3.1-3.7 when the tables replaced the trial memo.
 JOINT_ROUND_MIN_RATIO = 2.5
-
-
-def _slp_round_reference():
-    """The per-question joint round the tests hold the tables to."""
-    tests = str(Path(__file__).resolve().parent.parent / "tests")
-    if tests not in sys.path:
-        sys.path.append(tests)
-    import slp_round_reference
-
-    return slp_round_reference
 
 
 def test_bench_joint_round(results_dir):
@@ -302,7 +329,7 @@ def test_bench_joint_round(results_dir):
     from repro.experiments.engine import PAPER_CONSTRAINT_GRID, build_context
     from repro.wlo import wlo_slp_optimize
 
-    reference = _slp_round_reference()
+    reference = _reference("slp_round_reference")
     context = build_context(KernelConfig(), "conv")
     program = context.program
     datapaths = [get_target(t).word_lengths for t in ("xentium", "vex-4")]

@@ -1,6 +1,6 @@
-"""Engine micro-benchmarks: fan-out, reuse, continuation, memo.
+"""Engine micro-benchmarks: fan-out, reuse, continuation, memo, work.
 
-Four benchmarks, all recorded (merged by name) into
+Five benchmarks, all recorded (merged by name) into
 ``benchmarks/results/BENCH_sweep.json`` so future PRs have a perf
 trajectory for the engine:
 
@@ -26,6 +26,11 @@ trajectory for the engine:
   neighbourhoods and trial tables almost never need an exact recheck;
   it also records the neighbourhood memo's hits, the trial tables'
   visits and the SLP index's selections.
+* ``distinct_work`` — the cold serial 84-cell paper grid, guarding
+  that SLP extraction, lowering and scheduling run once per distinct
+  spec and groups (at most 28, 56, 88 and 156 runs; at most 484
+  ``schedule_block`` calls) and each search once per kernel, datapath
+  and constraint (42 runs each of ``wlo`` and ``wlo-slp``).
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from repro.pipeline.passes import (
     AdjointGainsPass,
     RangeAnalysisPass,
 )
+from repro.scheduler import cycles
 from repro.slp import extraction
 from repro.targets import get_target
 from repro.wlo import clear_continuations
@@ -82,9 +88,23 @@ NOISE_MEMO_MAX_EVALUATIONS = 20
 MAX_RECHECK_SHARE = 0.01
 
 #: The fir panel's 4 targets have 2 datapaths (2x16; 2x16 + 4x8), so
-#: each search pass runs once per datapath and constraint: 2 x 7.
-SEARCH_PASSES = ("wlo", "wlo-slp", "slp-extract")
-SEARCH_RUNS = 14
+#: each search runs once per datapath and constraint: 2 x 7.  SLP
+#: extraction reads the WLO-First spec by content, and those 14 specs
+#: hold 9 distinct ones.
+SEARCH_RUNS = {"wlo": 14, "wlo-slp": 14, "slp-extract": 9}
+
+#: The cold serial 84-cell paper grid runs each back-end pass once per
+#: distinct input (spec and groups are keyed by content): at most these
+#: many runs (168, 264, 84 and 42 while the constraint keyed them), and
+#: each search exactly once per kernel, datapath and constraint.
+DISTINCT_WORK_MAX_RUNS = {
+    "lower-simd": 88, "schedule": 156, "lower-scalar": 56, "slp-extract": 28,
+}
+DISTINCT_WORK_SEARCH_RUNS = {"wlo": 42, "wlo-slp": 42}
+#: ... and at most this many ``schedule_block`` calls (704 before).
+#: They schedule 174 distinct (machine block, target) pairs, compared
+#: by ``repr``; a per-block memo could cut them to that.
+DISTINCT_WORK_MAX_SCHEDULES = 484
 
 BENCH_CONFIG = KernelConfig(
     n_samples=256, analysis_samples=96, image_size=24, analysis_image_size=18
@@ -310,7 +330,7 @@ def test_bench_noise_memo(results_dir, monkeypatch):
     trial tables (tables built, visits answered, rows and rechecks).
     The guard is exact: at most ``NOISE_MEMO_MAX_EVALUATIONS`` closed
     forms of single states, no state evaluated twice, ``SEARCH_RUNS``
-    runs of each search pass, and at most ``MAX_RECHECK_SHARE`` of the
+    runs of the search passes, and at most ``MAX_RECHECK_SHARE`` of the
     neighbourhood rows and of the table rows re-asked.  The hit ratios
     are recorded only: sharing the searches of twin targets halves the
     questions, not the evaluations.
@@ -353,7 +373,7 @@ def test_bench_noise_memo(results_dir, monkeypatch):
     _cells, stats = SweepExecutor(config, jobs=1).run(plan)
     seconds = time.perf_counter() - started
     search_runs = {
-        name: global_pass_cache().executions(name) for name in SEARCH_PASSES
+        name: global_pass_cache().executions(name) for name in SEARCH_RUNS
     }
     _forget_process_memos()
     assert stats.computed == len(plan)
@@ -363,7 +383,7 @@ def test_bench_noise_memo(results_dir, monkeypatch):
     assert model.miss_count == len(evaluated)
     assert model.miss_count <= NOISE_MEMO_MAX_EVALUATIONS
     assert len(set(evaluated)) == len(evaluated)  # no state twice
-    assert search_runs == dict.fromkeys(SEARCH_PASSES, SEARCH_RUNS)
+    assert search_runs == SEARCH_RUNS
     assert model.batch_rechecks <= MAX_RECHECK_SHARE * model.batch_rows
     assert model.table_rechecks <= MAX_RECHECK_SHARE * model.table_rows
     hit_ratio = 1.0 - model.miss_count / model.eval_count
@@ -392,3 +412,52 @@ def test_bench_noise_memo(results_dir, monkeypatch):
         "selections_computed": selections["computed"],
         "sweep_seconds": round(seconds, 3),
     })
+
+
+def test_bench_distinct_work(results_dir, monkeypatch):
+    """Each distinct piece of back-end work once on the cold paper grid.
+
+    A cold serial sweep of all 84 cells counts the runs of every pass
+    and the ``schedule_block`` calls.  Searches at different
+    constraints often reach equal specs and groups; keyed by content,
+    those share SLP extraction, lowering and scheduling.  The guard:
+    at most ``DISTINCT_WORK_MAX_RUNS`` runs of the back-end passes and
+    ``DISTINCT_WORK_MAX_SCHEDULES`` block schedules, and exactly
+    ``DISTINCT_WORK_SEARCH_RUNS`` runs of each search.
+    """
+    schedules = [0]
+    schedule_block = cycles.schedule_block
+
+    def counted(*args, **kwargs):
+        schedules[0] += 1
+        return schedule_block(*args, **kwargs)
+
+    monkeypatch.setattr(cycles, "schedule_block", counted)
+    config = KernelConfig()
+    plan = SweepPlan.build(
+        config, config.kernel_names, PAPER_TARGETS, PAPER_CONSTRAINT_GRID
+    )
+    _forget_process_memos()
+    started = time.perf_counter()
+    _cells, stats = SweepExecutor(config, jobs=1).run(plan)
+    seconds = time.perf_counter() - started
+    cache = global_pass_cache()
+    runs, hits = dict(cache.misses), dict(cache.hits)
+    _forget_process_memos()
+    assert stats.computed == len(plan) == 84
+
+    _record("distinct_work", {
+        "n_cells": len(plan),
+        "python": platform.python_version(),
+        "pass_runs": runs,
+        "pass_hits": hits,
+        "max_runs": DISTINCT_WORK_MAX_RUNS,
+        "schedule_block_calls": schedules[0],
+        "max_schedule_block_calls": DISTINCT_WORK_MAX_SCHEDULES,
+        "sweep_seconds": round(seconds, 3),
+    })
+    for name, most in DISTINCT_WORK_MAX_RUNS.items():
+        assert runs[name] <= most, name
+    for name, exact in DISTINCT_WORK_SEARCH_RUNS.items():
+        assert runs[name] == exact, name
+    assert schedules[0] <= DISTINCT_WORK_MAX_SCHEDULES

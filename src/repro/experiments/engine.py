@@ -412,6 +412,9 @@ def evaluate_cell(
 #: constraint- and target-independent, so a format sweep's whole
 #: (kernel, format) panel measures it once per process.
 _FORMAT_NOISE: dict[tuple[KernelConfig, str, str], float] = {}
+#: Serializes ``_FORMAT_NOISE`` fills like ``_PROGRAMS_LOCK``, so job
+#: threads asking for one format together measure it once.
+_FORMAT_NOISE_LOCK = threading.Lock()
 
 
 def format_noise_db(config: KernelConfig, kernel: str, format: str) -> float:
@@ -422,20 +425,21 @@ def format_noise_db(config: KernelConfig, kernel: str, format: str) -> float:
     warm-up transient exactly like the validation experiment does.
     """
     key = (config, kernel, canonical_format(format))
-    found = _FORMAT_NOISE.get(key)
-    if found is None:
-        # Local import: the accuracy package sits above the IR but the
-        # engine is imported by lightweight consumers that never
-        # evaluate format cells.
-        from repro.accuracy.simulation import FormatAccuracyEvaluator
+    with _FORMAT_NOISE_LOCK:
+        found = _FORMAT_NOISE.get(key)
+        if found is None:
+            # Local import: the accuracy package sits above the IR but
+            # the engine is imported by lightweight consumers that
+            # never evaluate format cells.
+            from repro.accuracy.simulation import FormatAccuracyEvaluator
 
-        _, twin = kernel_programs(config, kernel)
-        evaluator = FormatAccuracyEvaluator(
-            twin, key[2], n_stimuli=2,
-            discard=64 if kernel == "iir" else 0,
-        )
-        found = evaluator.noise_db()
-        _FORMAT_NOISE[key] = found
+            _, twin = kernel_programs(config, kernel)
+            evaluator = FormatAccuracyEvaluator(
+                twin, key[2], n_stimuli=2,
+                discard=64 if kernel == "iir" else 0,
+            )
+            found = evaluator.noise_db()
+            _FORMAT_NOISE[key] = found
     return found
 
 

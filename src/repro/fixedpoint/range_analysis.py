@@ -7,7 +7,10 @@ and *simulation statistics* (min/max observation over representative
 executions).  ``analyze_ranges`` tries intervals first and falls back
 to simulation for programs where interval iteration diverges —
 recursive filters, exactly the case ID.Fix handles with its simulation
-mode.
+mode.  The simulation path asks an evaluation backend for every op's
+extremes over a fixed stimulus set
+(:meth:`~repro.ir.backend.EvaluationBackend.op_extremes`); the default
+``batch`` backend reads them off the program's instance graph.
 
 The interval interpreter executes loops whose variable appears in a
 coefficient subscript *concretely* (so each tap multiplies its actual
@@ -105,49 +108,25 @@ def simulation_ranges(
 
     ``margin`` widens every measured interval relatively (0.5 = half
     again), compensating for extremes the stimuli missed; it costs at
-    most one integer bit.  ``backend`` names the evaluation backend the
-    stimuli run on.  ``scalar`` and ``batch`` compute bit-identical
-    values, so they give identical ranges; ``bigfloat`` probes the
-    nearest float64 of its oracle-precision values, which can differ
-    from them in the last bits.  That is why the backend is part of
-    the range-analysis pass signature.
+    most one integer bit.  ``backend`` names the evaluation backend
+    whose per-op extremes are folded into the tie-group roots, in the
+    order the ops first execute.  ``scalar`` folds its interpreter's
+    probe, ``batch`` walks the instance graph once per stimulus; both
+    compute bit-identical values, so they give identical ranges.
+    ``bigfloat`` probes the nearest float64 of its oracle-precision
+    values, which can differ from them in the last bits.  That is why
+    the backend is part of the range-analysis pass signature.
     """
     slotmap = slotmap or SlotMap(program)
     rng = np.random.default_rng(seed)
-    # Running elementwise extremes per op, in first-observation order;
-    # reduced to floats and folded into per-root intervals after the
-    # run (min and max are exact, so this equals joining at every
-    # observation).
-    lows: dict[int, np.ndarray] = {}
-    highs: dict[int, np.ndarray] = {}
-
-    def observe(opid: int, values) -> None:
-        # ``values`` is one scalar (scalar backend) or the whole value
-        # array of the op (batch backend).  Its shape repeats from one
-        # execution to the next, except that a variable read may first
-        # see the variable's scalar init.
-        low = lows.get(opid)
-        if low is None:
-            lows[opid] = np.array(values, dtype=np.float64)
-            highs[opid] = np.array(values, dtype=np.float64)
-            return
-        high = highs[opid]
-        try:
-            np.minimum(low, values, out=low)
-            np.maximum(high, values, out=high)
-        except ValueError:  # a wider observation than the first
-            lows[opid] = np.minimum(low, values)
-            highs[opid] = np.maximum(high, values)
-
-    get_backend(backend).run_float(
-        program, _stimulus_set(program, n_random, rng), range_probe=observe
+    extremes = get_backend(backend).op_extremes(
+        program, _stimulus_set(program, n_random, rng)
     )
-
     ranges: dict[int, Interval] = {}
-    for opid, low in lows.items():
+    for opid, (low, high) in extremes.items():
         root = slotmap.root_of(opid)
         found = ranges.get(root)
-        observed = Interval(float(low.min()), float(highs[opid].max()))
+        observed = Interval(low, high)
         ranges[root] = observed if found is None else found.join(observed)
     _seed_symbol_ranges(program, slotmap, ranges)
     if margin:

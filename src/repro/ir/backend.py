@@ -27,9 +27,17 @@ is swappable:
 
 Both entry points take a *sequence* of stimuli and return one output
 dict per stimulus, so callers are backend-agnostic.  ``range_probe``
-(for simulation range analysis) receives ``(static op id, values)``
-where ``values`` is a scalar under ``scalar`` and an array under
-``batch`` — min/max observation handles either.
+receives ``(static op id, values)`` where ``values`` is a scalar under
+``scalar`` and an array under ``batch`` — min/max observation handles
+either.
+
+Simulation range analysis asks a backend for
+:meth:`~EvaluationBackend.op_extremes`: every executed op's smallest
+and largest value over the stimuli.  The base class folds
+``run_float``'s ``range_probe`` into running extremes, which ``scalar``
+and ``bigfloat`` keep.  ``batch`` reads them from the program's
+:class:`~repro.ir.instances.InstanceGraph` instead, one flat loop per
+stimulus, and never runs its executor for them.
 """
 
 from __future__ import annotations
@@ -84,6 +92,41 @@ class EvaluationBackend:
     ) -> list[dict[str, np.ndarray]]:
         """Float64 reference execution; one output dict per stimulus."""
         raise NotImplementedError
+
+    def op_extremes(
+        self, program: "Program", stimuli: Stimuli
+    ) -> dict[int, tuple[float, float]]:
+        """Smallest and largest float64 value of every executed op over
+        ``stimuli``, keyed by static op id in first-execution order."""
+        # Running elementwise extremes per op, reduced to floats after
+        # the run (min and max are exact, so this equals joining at
+        # every observation).
+        lows: dict[int, np.ndarray] = {}
+        highs: dict[int, np.ndarray] = {}
+
+        def observe(opid: int, values) -> None:
+            # One scalar (scalar backend) or the op's whole value array.
+            # Its shape repeats from one execution to the next, except
+            # that a variable read may first see the variable's scalar
+            # init.
+            low = lows.get(opid)
+            if low is None:
+                lows[opid] = np.array(values, dtype=np.float64)
+                highs[opid] = np.array(values, dtype=np.float64)
+                return
+            high = highs[opid]
+            try:
+                np.minimum(low, values, out=low)
+                np.maximum(high, values, out=high)
+            except ValueError:  # a wider observation than the first
+                lows[opid] = np.minimum(low, values)
+                highs[opid] = np.maximum(high, values)
+
+        self.run_float(program, stimuli, range_probe=observe)
+        return {
+            opid: (float(low.min()), float(highs[opid].max()))
+            for opid, low in lows.items()
+        }
 
     def run_fixed(
         self,
@@ -167,6 +210,14 @@ class BatchBackend(EvaluationBackend):
         from repro.ir.batch import BatchInterpreter
 
         return BatchInterpreter(program).run(stimuli, range_probe=range_probe)
+
+    def op_extremes(self, program, stimuli):
+        # The instance graph is imported here, not at the top, so a CLI
+        # start never loads it; it is built per call, so nothing keeps
+        # it alive in a long-running process.
+        from repro.ir.instances import instance_graph
+
+        return instance_graph(program).extremes(stimuli)
 
     def run_fixed(self, program, spec, stimuli, config=None,
                   force_object=False):

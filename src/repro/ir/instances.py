@@ -9,6 +9,14 @@ instance; :func:`instance_graph` derives the same structure from the
 loop tree with numpy, and :meth:`InstanceGraph.values` /
 :meth:`InstanceGraph.partials` evaluate it.
 
+Simulation range analysis reads the same graph:
+:meth:`InstanceGraph.extremes` evaluates it once per stimulus and takes
+each op's smallest and largest value over its instances, which is what
+the ``batch`` backend's
+:meth:`~repro.ir.backend.EvaluationBackend.op_extremes` returns.  A
+recurrence then costs one flat step per instance instead of one numpy
+call per op execution.
+
 Instances are numbered exactly as the interpreter numbers them.  Pseudo
 sources come first: per array, in declaration order, one instance per
 INPUT or COEFF cell and one silent instance for any other array; then
@@ -23,7 +31,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -94,34 +102,23 @@ class InstanceGraph:
     # ------------------------------------------------------------------
     def values(self, inputs: Mapping[str, np.ndarray]) -> np.ndarray:
         """Float64 value of every instance, with the interpreter's
-        semantics: one loop in instance order over flat buffers."""
-        program = self.program
-        preset = np.zeros(self.n_instances)
-        for decl in program.arrays.values():
-            first = self.source[decl.name]
-            if decl.kind is SymbolKind.INPUT:
-                cells = stack_input_columns(decl, [inputs])[:, 0]
-                preset[first:first + decl.size] = cells
-            elif decl.kind is SymbolKind.COEFF:
-                assert decl.values is not None
-                preset[first:first + decl.size] = decl.values.reshape(-1)
-        for var in program.variables.values():
-            preset[self.source["$" + var.name]] = var.init
-        for op in program.all_ops():
-            if op.kind is OpKind.CONST:
-                preset[self.op_instances[op.opid]] = float(op.value)  # type: ignore[arg-type]
+        semantics: one loop in instance order over the arithmetic
+        instances' flat buffers, then one gather for the copies."""
+        return self._evaluate(self._plan(), inputs)
 
-        value = array("d", preset.tobytes())
-        start = self.n_sources
-        for i, kind, a, b in zip(
-            range(start, self.n_instances),
-            array("b", self.kind[start:].tobytes()),
-            array("q", self.operands[0, start:].tobytes()),
-            array("q", self.operands[1, start:].tobytes()),
-        ):
-            if kind == COPY:
-                value[i] = value[a]
-            elif kind == ADD:
+    def _evaluate(
+        self, plan: tuple, inputs: Mapping[str, np.ndarray]
+    ) -> np.ndarray:
+        preset, copies, copied, columns = plan
+        start = preset.copy()
+        for decl in self.program.input_arrays():
+            first = self.source[decl.name]
+            cells = stack_input_columns(decl, [inputs])[:, 0]
+            start[first:first + decl.size] = cells
+
+        value = array("d", start.tobytes())
+        for i, kind, a, b in zip(*columns):
+            if kind == ADD:
                 value[i] = value[a] + value[b]
             elif kind == MUL:
                 value[i] = value[a] * value[b]
@@ -135,7 +132,82 @@ class InstanceGraph:
                 value[i] = -value[a]
             elif kind == ABS:
                 value[i] = abs(value[a])
-        return np.frombuffer(value)
+        values = np.frombuffer(value)
+        values[copies] = values[copied]
+        return values
+
+    def _plan(self) -> tuple:
+        """What evaluating the graph on any inputs shares.
+
+        The preset of every source but the inputs' cells; the copy
+        instances (loads, stores, variable accesses) with the non-copy
+        instance each one ends up forwarding; and the arithmetic
+        instances as flat buffers of instance, kind and operands, the
+        operands resolved through copies.  The loop then skips the
+        copies (two thirds of the paper twins' instances), and one
+        gather fills them after it.  :meth:`extremes` builds it once for
+        all its stimuli; it is not kept on the graph, which
+        ``extract_gains`` holds through its walks.
+        """
+        program = self.program
+        preset = np.zeros(self.n_instances)
+        for decl in program.arrays.values():
+            if decl.kind is SymbolKind.COEFF:
+                assert decl.values is not None
+                first = self.source[decl.name]
+                preset[first:first + decl.size] = decl.values.reshape(-1)
+        for var in program.variables.values():
+            preset[self.source["$" + var.name]] = var.init
+        for op in program.all_ops():
+            if op.kind is OpKind.CONST:
+                preset[self.op_instances[op.opid]] = float(op.value)  # type: ignore[arg-type]
+
+        kind, operands = self.kind, self.operands
+        copies = np.flatnonzero(kind == COPY)
+        copied = operands[0, copies]
+        chained = kind[copied] == COPY
+        while chained.any():  # pointer jumping: chains are 1-2 deep
+            copied = np.where(chained, operands[0, copied], copied)
+            chained = kind[copied] == COPY
+        resolved = np.arange(self.n_instances)
+        resolved[copies] = copied
+
+        arith = np.flatnonzero(kind > COPY)
+        first, second = operands[:, arith]
+        second = np.where(second >= 0, resolved[second], -1)
+        columns = (
+            array("q", arith.tobytes()),
+            array("b", kind[arith].tobytes()),
+            array("q", resolved[first].tobytes()),
+            array("q", second.tobytes()),
+        )
+        return preset, copies, copied, columns
+
+    def extremes(
+        self, stimuli: Sequence[Mapping[str, np.ndarray]]
+    ) -> dict[int, tuple[float, float]]:
+        """Smallest and largest value of every executed op over all
+        ``stimuli``, keyed by static op id in first-execution order."""
+        ops = sorted(
+            (opid for opid, insts in self.op_instances.items() if insts.size),
+            key=lambda opid: self.op_instances[opid][0],
+        )
+        if not ops:
+            return {}
+        gather = np.concatenate([self.op_instances[opid] for opid in ops])
+        sizes = [self.op_instances[opid].size for opid in ops]
+        starts = np.cumsum([0] + sizes[:-1])
+        plan = self._plan()
+        lows = np.full(len(ops), np.inf)
+        highs = -lows
+        for stimulus in stimuli:
+            values = self._evaluate(plan, stimulus)[gather]
+            np.minimum(lows, np.minimum.reduceat(values, starts), out=lows)
+            np.maximum(highs, np.maximum.reduceat(values, starts), out=highs)
+        return {
+            opid: (low, high)
+            for opid, low, high in zip(ops, lows.tolist(), highs.tolist())
+        }
 
     def partials(self, values: np.ndarray) -> np.ndarray:
         """Local partials ``(2, n)`` of every instance with respect to

@@ -8,7 +8,11 @@ Two-level scheme:
   (and a target's word lengths) its dataclass repr, a constraint its
   float repr.  Artifacts produced by a pass inherit a fingerprint
   derived from that pass's cache key, so provenance chains compose
-  without re-hashing big objects.
+  without re-hashing big objects — except ``spec`` and ``groups``
+  (:func:`derived_fingerprint`).  Those two are what the back end
+  (SLP extraction, lowering, scheduling) reads, and searches at
+  different constraints often end in equal ones; hashed by content,
+  they let those passes run once per distinct input.
 * **Pass keys** combine the pass signature (name + parameters), the
   fingerprints of everything the pass reads, and
   :func:`flow_code_version` (so editing semantic source rolls every
@@ -29,7 +33,7 @@ import threading
 from collections import OrderedDict
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.ir.program import Program
 from repro.targets.model import TargetModel, WordLengths
@@ -41,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "PassCache",
     "content_fingerprint",
+    "derived_fingerprint",
     "flow_code_version",
     "global_pass_cache",
     "pass_key",
@@ -140,6 +145,28 @@ def content_fingerprint(value: Any) -> str:
     )
 
 
+def derived_fingerprint(name: str, value: Any, key: str) -> str:
+    """Fingerprint of artifact ``name`` written by the pass keyed ``key``.
+
+    A ``spec`` (a :class:`~repro.fixedpoint.spec.FixedPointSpec`) is
+    hashed by its program, its ``max_wl`` and its format state; a
+    ``groups`` artifact (block name -> :class:`~repro.slp.groups.GroupSet`)
+    by every group's id, kind, lanes in order and lane word length.
+    Every other artifact inherits the pass key, constraint and all.
+    """
+    if name == "spec":
+        return _digest(
+            "spec", _program_fingerprint(value.slotmap.program),
+            str(value.max_wl), value.state_key().hex(),
+        )
+    if name == "groups":
+        return _digest("groups", repr([
+            (block, [(g.gid, g.kind.name, g.lanes, g.wl) for g in group_set])
+            for block, group_set in value.items()
+        ]))
+    return f"{key}:{name}"
+
+
 def pass_key(pass_: "Pass", state: "FlowState") -> str:
     """Cache key of one pass applied to one state."""
     return _digest(
@@ -153,7 +180,9 @@ class PassCache:
 
     ``misses[name]`` counts actual executions of cacheable passes, so
     "the analysis prefix ran exactly once across this sweep" is a
-    directly assertable property.
+    directly assertable property.  :meth:`resolve` computes each key
+    once at a time: a thread that misses on a key another thread is
+    computing waits for that result and counts a hit.
 
     The cache is least-recently-used bounded (``max_entries``) because
     the global instance lives for the whole process: per-cell artifacts
@@ -164,8 +193,8 @@ class PassCache:
 
     ``repro serve`` runs jobs on threads that share the global
     instance, so every read-modify-write of the entries and counters
-    holds one lock: a store evicting the key a lookup just found must
-    not land between the lookup's read and its LRU touch.
+    holds one lock: a store evicting the key :meth:`resolve` just found
+    must not land between its read and its LRU touch.
     """
 
     def __init__(self, max_entries: int = 512) -> None:
@@ -174,16 +203,40 @@ class PassCache:
         self.hits: dict[str, int] = {}
         self.misses: dict[str, int] = {}
         self._lock = threading.Lock()
+        #: keys being computed -> the event their owner sets when done.
+        self._pending: dict[str, threading.Event] = {}
 
-    def lookup(self, pass_name: str, key: str) -> dict[str, Any] | None:
-        with self._lock:
-            found = self._entries.get(key)
-            if found is None:
-                self.misses[pass_name] = self.misses.get(pass_name, 0) + 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits[pass_name] = self.hits.get(pass_name, 0) + 1
-            return found
+    def resolve(
+        self, pass_name: str, key: str, compute: Callable[[], dict[str, Any]]
+    ) -> tuple[dict[str, Any], bool]:
+        """The outputs under ``key``, and whether they were a hit.
+
+        On a miss the first thread runs ``compute`` and stores its
+        outputs; others missing on the same key meanwhile wait and then
+        count a hit.  If ``compute`` raises, the error is the owner's,
+        and one waiter runs it again.
+        """
+        while True:
+            with self._lock:
+                found = self._entries.get(key)
+                if found is not None:
+                    self._entries.move_to_end(key)
+                    self.hits[pass_name] = self.hits.get(pass_name, 0) + 1
+                    return found, True
+                pending = self._pending.get(key)
+                if pending is None:
+                    pending = self._pending[key] = threading.Event()
+                    self.misses[pass_name] = self.misses.get(pass_name, 0) + 1
+                    break
+            pending.wait()
+        try:
+            outputs = compute()
+            self.store(key, outputs)
+        finally:
+            with self._lock:
+                del self._pending[key]
+            pending.set()
+        return outputs, False
 
     def count_execution(self, pass_name: str) -> None:
         """Record one actual run (also used for uncacheable passes)."""

@@ -474,6 +474,9 @@ class DecoupledSlpPass(Pass):
 
 # ----------------------------------------------------------------------
 # Lowering and scheduling (deterministic from spec/groups, cacheable).
+# The pipeline fingerprints ``spec`` and ``groups`` by content, so these
+# passes, like ``slp-extract`` above, run once per distinct spec and
+# groups: a panel's constraints often reach equal ones.
 
 class LowerFloatPass(Pass):
     """Single-precision float lowering (FPU or serialized soft-float).

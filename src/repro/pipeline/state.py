@@ -7,14 +7,17 @@ target's ``word_lengths`` and — for constraint-driven flows —
 prefix reads neither target nor constraint, so
 :meth:`~repro.pipeline.flows.AnalysisContext.build` seeds a state
 without them.  Every artifact
-carries a *fingerprint*: a content hash for the seeds, and a hash of
-the producing pass's cache key for derived artifacts.  Fingerprints
+carries a *fingerprint*: a content hash for the seeds and for the
+``spec`` and ``groups`` a pass writes, and a hash of the producing
+pass's cache key for every other derived artifact.  Fingerprints
 are what make per-pass caching sound — a pass's cache key is built
 from the fingerprints of everything it reads, so two pipelines sharing
 an analysis prefix (same program, any constraint) resolve the prefix
 to identical keys and reuse one computation.  The search passes read
 ``word_lengths`` instead of ``target`` for the same reason: targets
-with one datapath share every search.
+with one datapath share every search.  And since spec and groups are
+hashed by content, searches at two constraints that reach equal ones
+share SLP extraction, lowering and scheduling.
 """
 
 from __future__ import annotations

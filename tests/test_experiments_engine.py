@@ -418,26 +418,24 @@ class TestConcurrentEvaluation:
         cell = evaluate_cell(self.CONFIG, request)
         return dataclasses.asdict(cell), cell_pipeline_signature(request)
 
-    def test_threads_match_a_sequential_run(self):
+    @staticmethod
+    def _race(work, count: int = 4) -> None:
+        """Run ``work(worker)`` on ``count`` threads released together
+        by a barrier, switching threads as often as CPython allows."""
         import sys
         import threading
 
-        self._forget_process_memos()
-        expected = {r: self._payload(r) for r in self.REQUESTS}
-        self._forget_process_memos()
-        count = len(self.REQUESTS)
-        results: list[dict] = [{} for _ in range(4)]
+        barrier = threading.Barrier(count)
         errors: list[Exception] = []
 
-        def work(worker: int) -> None:
+        def run(worker: int) -> None:
             try:
-                for step in range(count):
-                    request = self.REQUESTS[(step + 3 * worker) % count]
-                    results[worker][request] = self._payload(request)
+                barrier.wait(timeout=60)
+                work(worker)
             except Exception as error:  # reported by the assert below
                 errors.append(error)
 
-        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        threads = [threading.Thread(target=run, args=(w,)) for w in range(count)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -449,38 +447,82 @@ class TestConcurrentEvaluation:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
+
+    def test_threads_match_a_sequential_run(self):
+        self._forget_process_memos()
+        expected = {r: self._payload(r) for r in self.REQUESTS}
+        self._forget_process_memos()
+        count = len(self.REQUESTS)
+        results: list[dict] = [{} for _ in range(4)]
+
+        def work(worker: int) -> None:
+            for step in range(count):
+                request = self.REQUESTS[(step + 3 * worker) % count]
+                results[worker][request] = self._payload(request)
+
+        self._race(work)
+        for got in results:
+            assert got == expected
+
+    def test_threads_run_each_pass_once(self):
+        """Threads missing together on a cold pass key wait for the one
+        computing it: one prefix and one search per kernel."""
+        from repro.pipeline import global_pass_cache
+
+        requests = [
+            CellRequest(kernel, "xentium", -15.0)
+            for kernel in ("fir", "iir", "conv")
+        ]
+        self._forget_process_memos()
+        expected = {r: self._payload(r) for r in requests}
+        self._forget_process_memos()
+        results: list[dict] = [{} for _ in range(4)]
+
+        def work(worker: int) -> None:
+            for request in requests:
+                results[worker][request] = self._payload(request)
+
+        self._race(work)
+        cache = global_pass_cache()
+        for name in ("range-analysis", "adjoint-gains", "wlo", "wlo-slp"):
+            assert cache.executions(name) == len(requests), name
         for got in results:
             assert got == expected
 
     def test_threads_share_one_kernel_build(self):
         """Cold concurrent lookups of one kernel get one (benchmark,
         twin) pair: the per-program memos hang off those objects."""
-        import sys
-        import threading
-
         from repro.experiments.engine import kernel_programs
 
         self._forget_process_memos()
-        barrier = threading.Barrier(4)
         pairs: list[tuple] = []
-
-        def work() -> None:
-            barrier.wait(timeout=60)
-            pairs.append(kernel_programs(self.CONFIG, "iir"))
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        self._race(lambda _: pairs.append(kernel_programs(self.CONFIG, "iir")))
         assert len(pairs) == 4
         assert all(pair is pairs[0] for pair in pairs)
+
+    def test_threads_measure_a_format_once(self, monkeypatch):
+        """Cold concurrent asks for one format's noise build one
+        evaluator, and every thread gets the memo's float."""
+        from repro.accuracy import simulation
+        from repro.experiments.engine import format_noise_db
+
+        built: list[object] = []
+
+        class Counted(simulation.FormatAccuracyEvaluator):
+            def __init__(self, *args, **kwargs) -> None:
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "FormatAccuracyEvaluator", Counted)
+        self._forget_process_memos()
+        noises: list[float] = []
+        self._race(lambda _: noises.append(
+            format_noise_db(self.CONFIG, "fir", "float32")
+        ))
+        assert len(built) == 1
+        assert len(noises) == 4
+        assert all(noise is noises[0] for noise in noises)
+        assert isinstance(noises[0], float)
 
 
 class TestSweepCLI:

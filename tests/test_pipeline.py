@@ -384,12 +384,13 @@ class TestPassCache:
         cache = PassCache(max_entries=2)
         cache.store("k1", {"x": 1})
         cache.store("k2", {"x": 2})
-        assert cache.lookup("p", "k1") == {"x": 1}  # touch: k2 is now LRU
+        # A hit touches k1: k2 is now least recently used.
+        assert cache.resolve("p", "k1", dict) == ({"x": 1}, True)
         cache.store("k3", {"x": 3})  # evicts k2
         assert len(cache) == 2
-        assert cache.lookup("p", "k2") is None
-        assert cache.lookup("p", "k1") == {"x": 1}
-        assert cache.lookup("p", "k3") == {"x": 3}
+        assert cache.resolve("p", "k2", lambda: {"x": 4}) == ({"x": 4}, False)
+        assert cache.resolve("p", "k3", dict) == ({"x": 3}, True)
+        assert cache.resolve("p", "k1", dict) == ({}, False)  # evicted by k2
 
     def test_concurrent_lookups_and_stores(self):
         """``repro serve`` job threads share the global cache: a store
@@ -404,8 +405,7 @@ class TestPassCache:
             try:
                 for step in range(3000):
                     key = f"k{(step * (worker + 1)) % 9}"
-                    if cache.lookup("pass", key) is None:
-                        cache.store(key, {"x": step})
+                    cache.resolve("pass", key, lambda: {"x": step})
                     cache.count_execution("other")
             except Exception as error:  # reported by the assert below
                 errors.append(error)
@@ -424,6 +424,54 @@ class TestPassCache:
         assert errors == []
         assert len(cache) <= cache.max_entries
         assert cache.executions("other") == 4 * 3000
+
+    def test_resolve_computes_a_key_once(self):
+        """Threads missing together on one key: the first to claim it
+        computes, the others wait and count hits.  When the computing
+        thread raises, that error is its own, and exactly one waiter (or
+        a later caller) computes again, so the counts do not depend on
+        how the threads interleave."""
+        import sys
+        import threading
+
+        cache = PassCache()
+        calls: list[int] = []
+
+        def compute() -> dict:
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise RuntimeError("first compute fails")
+            return {"x": len(calls)}
+
+        barrier = threading.Barrier(4)
+        results: list[tuple] = []
+        errors: list[Exception] = []
+
+        def work() -> None:
+            barrier.wait(timeout=60)
+            try:
+                results.append(cache.resolve("pass", "k", compute))
+            except RuntimeError as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(calls) == 2 and len(errors) == 1 and len(results) == 3
+        outputs = results[0][0]
+        assert outputs == {"x": 2}
+        assert all(found is outputs for found, _ in results)
+        assert sorted(cached for _, cached in results) == [False, True, True]
+        assert cache.misses == {"pass": 2} and cache.hits == {"pass": 2}
+        assert cache._pending == {}
 
     def test_timings_report_sources(self, small_fir):
         cache = PassCache()
@@ -583,6 +631,130 @@ class TestSearchSharing:
             cache=PassCache(),
         )
         assert seen == [WordLengths(32, (16, 8))] == [target.word_lengths]
+
+
+# ----------------------------------------------------------------------
+# Content keys: the back end runs once per distinct spec and groups.
+
+class _Reached(Pass):
+    """A search stand-in that reaches equal spec and groups (fresh
+    objects each run) at every constraint."""
+
+    name = "reached"
+    reads = ("constraint_db",)
+    writes = ("spec", "groups")
+
+    def __init__(self, spec, groups) -> None:
+        self.spec = spec
+        self.groups = groups
+
+    def run(self, state):
+        return {"spec": self.spec.clone(), "groups": _rebuilt(self.groups)}
+
+
+def _rebuilt(groups, block=None, index=None, **changes):
+    """A copy of a per-block group dict, with group ``index`` of
+    ``block`` replaced by ``dataclasses.replace(group, **changes)``."""
+    import dataclasses
+
+    from repro.slp.groups import GroupSet
+
+    copy = {}
+    for name, group_set in groups.items():
+        copy[name] = GroupSet(name)
+        for i, group in enumerate(group_set):
+            if (name, i) == (block, index):
+                group = dataclasses.replace(group, **changes)
+            copy[name].add(group)
+    return copy
+
+
+@pytest.fixture(scope="module")
+def joint_state(small_fir):
+    """The final state of one wlo-slp run: a spec and non-empty groups."""
+    _, state = execute_flow(
+        "wlo-slp", small_fir, get_target("vex-4"), -25.0, cache=PassCache()
+    )
+    assert any(len(group_set) for group_set in state.get("groups").values())
+    return state
+
+
+class TestContentKeys:
+    def test_equal_content_shares_the_back_end(self, small_fir, joint_state):
+        from repro.pipeline import LowerSimdPass, SchedulePass
+
+        cache = PassCache()
+        pipeline = Pipeline((
+            _Reached(joint_state.get("spec"), joint_state.get("groups")),
+            LowerSimdPass(),
+            SchedulePass("simd_lowered"),
+        ))
+        states = [
+            pipeline.run(
+                FlowState.seed(small_fir, get_target("vex-4"), constraint),
+                cache,
+            )
+            for constraint in (-25.0, -45.0)
+        ]
+        first, second = states
+        assert first.get("spec") is not second.get("spec")
+        for name in ("spec", "groups"):
+            assert first.fingerprint(name) == second.fingerprint(name)
+            assert first.fingerprint(name) == joint_state.fingerprint(name)
+        for name in ("lower-simd", "schedule"):
+            assert cache.executions(name) == 1, name
+            assert cache.hits[name] == 1, name
+        assert second.get("cycles") is first.get("cycles")
+
+    def test_spec_fingerprint_follows_its_content(self, joint_state):
+        from repro.fixedpoint.spec import FixedPointSpec, SlotMap
+        from repro.kernels import fir
+        from repro.pipeline.cache import derived_fingerprint
+
+        def fingerprint(spec):
+            return derived_fingerprint("spec", spec, "any pass key")
+
+        spec = joint_state.get("spec")
+        base = fingerprint(spec)
+        assert fingerprint(spec.clone()) == base
+        root = spec.slotmap.roots[0]
+        narrower = spec.clone()
+        narrower.set_wl(root, spec.wl(root) - 1)
+        assert fingerprint(narrower) != base
+        relabelled = spec.clone()
+        relabelled.max_wl = spec.max_wl // 2
+        assert relabelled.state_key() == spec.state_key()
+        assert fingerprint(relabelled) != base
+        # The same state on another program.
+        short, long = (
+            FixedPointSpec(SlotMap(fir(n_samples=n, n_taps=16)))
+            for n in (64, 128)
+        )
+        assert short.state_key() == long.state_key()
+        assert fingerprint(short) != fingerprint(long)
+
+    def test_groups_fingerprint_follows_its_content(self, joint_state):
+        from repro.pipeline.cache import derived_fingerprint
+
+        def fingerprint(groups):
+            return derived_fingerprint("groups", groups, "any pass key")
+
+        groups = joint_state.get("groups")
+        base = fingerprint(groups)
+        assert fingerprint(_rebuilt(groups)) == base
+        block = next(name for name, found in groups.items() if len(found))
+        group = groups[block].groups[0]
+        narrower = _rebuilt(groups, block, 0, wl=group.wl // 2)
+        reordered = _rebuilt(groups, block, 0, lanes=group.lanes[::-1])
+        assert fingerprint(narrower) != base
+        assert fingerprint(reordered) != base
+        assert fingerprint(narrower) != fingerprint(reordered)
+
+    def test_other_artifacts_keep_the_pass_key(self, joint_state):
+        from repro.pipeline.cache import derived_fingerprint
+
+        stats = joint_state.get("wlo_stats")
+        assert derived_fingerprint("wlo_stats", stats, "k1") == "k1:wlo_stats"
 
 
 # ----------------------------------------------------------------------

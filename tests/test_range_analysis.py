@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
+from range_reference import join_per_observation, range_bits
 from repro.errors import RangeAnalysisError
 from repro.fixedpoint import (
-    Interval,
     SlotMap,
     analyze_ranges,
     interval_ranges,
-    range_analysis,
     simulation_ranges,
 )
-from repro.ir import Interpreter, OpKind, ProgramBuilder, get_backend, loop_index
+from repro.ir import Interpreter, OpKind, ProgramBuilder, loop_index
 from repro.kernels import kernel_names
 
 
@@ -94,36 +93,31 @@ class TestSimulationAnalysis:
         assert a.ranges == b.ranges
 
 
-def _join_per_observation(program, slotmap, backend, seed=2017):
-    """Simulation ranges joining every observation into its root's
-    interval: the reference for the running per-op extremes."""
-    rng = np.random.default_rng(seed)
-    ranges = {}
-
-    def observe(opid, values):
-        vmin = float(np.min(values))
-        vmax = float(np.max(values))
-        root = slotmap.root_of(opid)
-        found = ranges.get(root)
-        if found is None:
-            ranges[root] = Interval(vmin, vmax)
-        elif not (found.contains(vmin) and found.contains(vmax)):
-            ranges[root] = found.join(Interval(vmin, vmax))
-
-    stimuli = range_analysis._stimulus_set(program, 6, rng)
-    get_backend(backend).run_float(program, stimuli, range_probe=observe)
-    range_analysis._seed_symbol_ranges(program, slotmap, ranges)
-    return {root: iv.widen_relative(0.5) for root, iv in ranges.items()}
-
-
 class TestRunningExtremes:
+    """``simulation_ranges`` against the ranges folded from every probed
+    observation.  Under ``batch`` this holds the instance graph's
+    extremes to the batched executor's values."""
+
     @pytest.mark.parametrize("backend", ["scalar", "batch"])
     @pytest.mark.parametrize("kernel", kernel_names())
     def test_equal_joins_per_observation(self, small_kernels, kernel, backend):
         program = small_kernels[kernel]
         slotmap = SlotMap(program)
         result = simulation_ranges(program, slotmap, backend=backend)
-        assert result.ranges == _join_per_observation(program, slotmap, backend)
+        assert range_bits(result.ranges) == range_bits(
+            join_per_observation(program, slotmap, backend)
+        )
+
+    @pytest.mark.parametrize("kernel", ["fir", "iir", "conv"])
+    def test_paper_twins_equal_the_batch_probe(self, kernel):
+        from repro.experiments.engine import KernelConfig, kernel_programs
+
+        twin = kernel_programs(KernelConfig(), kernel)[1]
+        slotmap = SlotMap(twin)
+        result = simulation_ranges(twin, slotmap, backend="batch")
+        assert range_bits(result.ranges) == range_bits(
+            join_per_observation(twin, slotmap, "batch")
+        )
 
     @pytest.mark.parametrize("backend", ["scalar", "batch"])
     def test_widen_past_a_scalar_first_observation(self, backend):
@@ -142,7 +136,9 @@ class TestRunningExtremes:
         program = b.build()
         slotmap = SlotMap(program)
         result = simulation_ranges(program, slotmap, backend=backend)
-        assert result.ranges == _join_per_observation(program, slotmap, backend)
+        assert range_bits(result.ranges) == range_bits(
+            join_per_observation(program, slotmap, backend)
+        )
         assert result.range_of(doubled.opid).lo < 0.0
 
 
