@@ -302,6 +302,98 @@ def test_bench_analysis_prefix(results_dir):
     assert probe_s / graph_s >= SIMULATION_RANGES_MIN_RATIO
 
 
+#: Timed rounds per run of the format-noise bench; each reads its median.
+FORMAT_NOISE_ROUNDS = 5
+#: Bounds on the lane executors' median seconds over the backends' on
+#: the iir twin, whose float runs take the instance graph.  Both run in
+#: this test, so machine speed cancels.  They read 5.0-5.5 on the
+#: float32 run and 2.7-3.1 on the oracle when the graph took these runs
+#: over (3.7 on the float32 run with the integer-ratio rounder in both
+#: paths).
+FORMAT_NOISE_MIN_RATIOS = {"float32": 2.5, "oracle": 1.5}
+
+
+def test_bench_format_noise(results_dir):
+    """A float32 cell's noise measurement on each paper twin.
+
+    The oracle references (``BigFloatBackend.run_float``) and the
+    float32 run (``FormatAccuracyEvaluator.measured_outputs``) are
+    timed through the backends, which take the instance graph for a
+    program without lane loops (iir), and through the lane executors
+    called directly, in interleaved rounds.  The bars: equal output
+    bytes and equal noise (``float.hex``) on every twin, and on the iir
+    twin the lanes' median seconds at least ``FORMAT_NOISE_MIN_RATIOS``
+    times the backends'.  fir and conv keep their lanes, so their
+    ratios read about 1 and are recorded unguarded.
+    """
+    from conftest import record_bench
+
+    from repro.accuracy import FormatAccuracyEvaluator
+    from repro.accuracy.metrics import measured_noise_power
+    from repro.ir.batch import FormatBatchInterpreter, OracleBatchInterpreter
+    from repro.ir.vectorize import vector_plan
+
+    config = KernelConfig()
+    kernels: dict[str, dict] = {}
+    for kernel in config.kernel_names:
+        twin = kernel_programs(config, kernel)[1]
+        evaluator = FormatAccuracyEvaluator(
+            twin, "float32", n_stimuli=2, discard=64 if kernel == "iir" else 0,
+        )
+        stimuli = evaluator.stimuli
+        runs = {
+            "oracle": lambda: get_backend("bigfloat").run_float(twin, stimuli),
+            "oracle_lanes": lambda: OracleBatchInterpreter(twin).run(stimuli),
+            "float32": evaluator.measured_outputs,
+            "float32_lanes": lambda: FormatBatchInterpreter(
+                twin, evaluator.format
+            ).run(stimuli),
+        }
+        seconds: dict[str, list[float]] = {name: [] for name in runs}
+        outputs = {}
+        for _ in range(FORMAT_NOISE_ROUNDS):
+            for name, run in runs.items():
+                started = time.perf_counter()
+                outputs[name] = run()
+                seconds[name].append(time.perf_counter() - started)
+        for name in ("oracle", "float32"):
+            for got, lanes in zip(outputs[name], outputs[name + "_lanes"]):
+                assert got.keys() == lanes.keys()
+                for array in lanes:
+                    assert got[array].tobytes() == lanes[array].tobytes()
+        lanes_noise = sum(
+            measured_noise_power(reference, measured, evaluator.discard)
+            for reference, measured in zip(
+                outputs["oracle_lanes"], outputs["float32_lanes"]
+            )
+        ) / len(stimuli)
+        noise = evaluator.noise_power()
+        assert noise.hex() == lanes_noise.hex()
+
+        medians = {name: statistics.median(s) for name, s in seconds.items()}
+        kernels[kernel] = {
+            "path": "lanes" if vector_plan(twin).loops else "graph",
+            "noise_power": noise.hex(),
+            **{f"{name}_s": round(medians[name], 4) for name in runs},
+            **{
+                f"{name}_ratio": round(medians[name + "_lanes"] / medians[name], 2)
+                for name in FORMAT_NOISE_MIN_RATIOS
+            },
+        }
+
+    record_bench("format_noise", {
+        "python": platform.python_version(),
+        "rounds": FORMAT_NOISE_ROUNDS,
+        "kernels": kernels,
+        "min_ratios": FORMAT_NOISE_MIN_RATIOS,
+    })
+    # The bars: iir's format simulations run flat, and it shows.
+    iir = kernels["iir"]
+    assert iir["path"] == "graph"
+    for name, bound in FORMAT_NOISE_MIN_RATIOS.items():
+        assert iir[f"{name}_ratio"] >= bound, (name, iir)
+
+
 #: Timed rounds per path of the joint-round bench; each reads its median.
 JOINT_ROUND_ROUNDS = 5
 #: Bound on the per-question reference's seconds over the trial tables'

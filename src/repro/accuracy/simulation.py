@@ -11,7 +11,11 @@ Execution is delegated to an :class:`~repro.ir.backend.EvaluationBackend`
 resolved by name: the default ``batch`` backend evaluates every
 stimulus (and every independent loop) as array lanes in one pass —
 bit-identical to the ``scalar`` reference, an order of magnitude
-faster (see ``benchmarks/test_bench_micro.py``).
+faster (see ``benchmarks/test_bench_micro.py``).  A format's measured
+outputs follow the backends' rule (:func:`~repro.ir.backend.flat_simulation`):
+a program without lane loops runs as flat loops over its instance
+graph, a program with lane loops on
+:class:`~repro.ir.batch.FormatBatchInterpreter`'s lanes.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from repro.errors import AccuracyError
 from repro.fixedpoint.fxpinterp import FxpConfig
 from repro.fixedpoint.spec import FixedPointSpec
 from repro.formats import get_format
-from repro.ir.backend import DEFAULT_BACKEND, get_backend
+from repro.ir.backend import DEFAULT_BACKEND, flat_simulation, get_backend
 from repro.ir.batch import FormatBatchInterpreter
 from repro.ir.program import Program
 from repro.utils import power_to_db
@@ -107,10 +111,12 @@ class FormatAccuracyEvaluator:
     fixed-point spec, the quantization target is a whole-program
     numeric format from :mod:`repro.formats` (``float32``,
     ``bfloat16``, ``binary(E,M)``, …), executed with correctly-rounded
-    RNE semantics by :class:`~repro.ir.batch.FormatBatchInterpreter`.
-    References come from the ``bigfloat`` oracle by default, so the
-    reported noise is the format's true rounding error rather than its
-    distance from an itself-rounded float64 run.
+    RNE semantics: by :class:`~repro.ir.batch.FormatBatchInterpreter`
+    on a program with lane loops, else by
+    :meth:`~repro.ir.instances.FlatSimulation.format_outputs`, to the
+    same bits.  References come from the ``bigfloat`` oracle by default,
+    so the reported noise is the format's true rounding error rather
+    than its distance from an itself-rounded float64 run.
     """
 
     def __init__(
@@ -151,6 +157,9 @@ class FormatAccuracyEvaluator:
     # ------------------------------------------------------------------
     def measured_outputs(self) -> list[dict[str, np.ndarray]]:
         """Format-rounded execution outputs, one dict per stimulus."""
+        flat = flat_simulation(self.program)
+        if flat is not None:
+            return flat.format_outputs(self.stimuli, self.format)
         return FormatBatchInterpreter(self.program, self.format).run(
             self.stimuli
         )

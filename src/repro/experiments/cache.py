@@ -19,9 +19,9 @@ on *other hosts* sharing the directory over a network mount (the
 other's reads.  A temp file orphaned by a worker that died mid-write
 is unlinked on the failure path when possible, and stale leftovers
 from hard kills are swept by the coordinating
-:class:`~repro.experiments.engine.SweepExecutor` at the start of each
+:class:`~repro.experiments.engine.SweepExecutor` at the start of a
 resolve (:meth:`SweepCache.sweep_stale_tmp` — never in the store hot
-path).
+path), at most once per directory and stale window in a process.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import threading
 import time
 import uuid
 from pathlib import Path
@@ -53,6 +54,14 @@ _FORMAT_VERSION = 3
 #: (a healthy write lives milliseconds) and swept on the next store.
 _TMP_STALE_SECONDS = 3600.0
 
+#: Resolved cache directory -> ``time.time()`` of its last stale-temp
+#: sweep in this process.  A temp file goes stale only
+#: ``_TMP_STALE_SECONDS`` after its write, so a directory is listed at
+#: most once per that window, however many caches (one per ``repro
+#: serve`` job) open it.
+_LAST_SWEEP: dict[Path, float] = {}
+_LAST_SWEEP_LOCK = threading.Lock()
+
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` or ``~/.cache/repro/sweep``."""
@@ -67,7 +76,6 @@ class SweepCache:
 
     def __init__(self, directory: str | Path | None = None) -> None:
         self.directory = Path(directory) if directory else default_cache_dir()
-        self._swept_stale_tmp = False
 
     # ------------------------------------------------------------------
     def key(self, config: KernelConfig, request: CellRequest) -> str:
@@ -152,19 +160,24 @@ class SweepCache:
         return path
 
     def sweep_stale_tmp(self) -> None:
-        """Unlink temp files orphaned by dead workers (once per instance).
+        """Unlink temp files orphaned by dead workers.
 
         Called by :class:`~repro.experiments.engine.SweepExecutor` at
-        the start of each resolve, so the directory is groomed once
-        per sweep by its coordinator rather than per worker store.
-        Only files older than :data:`_TMP_STALE_SECONDS` go — a live
+        the start of each resolve, so the directory is groomed by its
+        coordinator rather than per worker store, and listed again only
+        once :data:`_TMP_STALE_SECONDS` have passed since this process
+        last listed it.  Only files older than that go — a live
         concurrent writer's temp file is always younger.  Racing
         sweepers are fine: losing the unlink race is ignored.
         """
-        if self._swept_stale_tmp:
-            return
-        self._swept_stale_tmp = True
-        cutoff = time.time() - _TMP_STALE_SECONDS
+        now = time.time()
+        directory = self.directory.resolve()
+        with _LAST_SWEEP_LOCK:
+            last = _LAST_SWEEP.get(directory)
+            if last is not None and now - last < _TMP_STALE_SECONDS:
+                return
+            _LAST_SWEEP[directory] = now
+        cutoff = now - _TMP_STALE_SECONDS
         for tmp in self.directory.glob("*.json.tmp*"):
             try:
                 if tmp.stat().st_mtime < cutoff:

@@ -694,8 +694,9 @@ class SweepExecutor:
         stats = stats if stats is not None else SweepStats()
         if self.cache is not None:
             # Coordinator-side directory grooming: orphaned temp files
-            # of hard-killed workers are swept once per cache instance
-            # here, never in the workers' store hot path.
+            # of hard-killed workers are swept here, at most once per
+            # directory and stale window in a process, never in the
+            # workers' store hot path.
             self.cache.sweep_stale_tmp()
         total = len(plan.requests)
         misses: list[CellRequest] = []

@@ -23,11 +23,17 @@ flows, WLO engines, simulation backends and execution backends:
   backend in :mod:`repro.ir.backend`; not itself a sweepable
   quantization target.
 
-Quantization is *exact*: every float format rounds via
-``float.as_integer_ratio()`` plus the shared integer
-:func:`~repro.fixedpoint.quantize.round_half_even_shift` primitive —
-true IEEE round-to-nearest-even including subnormals and overflow to
-infinity, never a double-rounding through intermediate dtypes.
+Quantization is *exact*: every float format rounds a float64 with
+``math.frexp`` / ``round`` / ``math.ldexp`` — the significand scaled to
+the bits the format keeps (fewer below its normal range), rounded
+half-to-even by ``round`` (exact on a float), scaled back — true IEEE
+round-to-nearest-even including subnormals and overflow to infinity,
+never a double-rounding through intermediate dtypes.  It equals the
+integer form (``float.as_integer_ratio()`` plus the shared
+:func:`~repro.fixedpoint.quantize.round_half_even_shift` primitive,
+kept as a test reference in ``tests/format_reference.py``) bit for bit
+and takes about half its time; the format simulations call it once per
+rounded op.  :func:`big_to_float` keeps the integer form.
 
 Lookups follow the registry conventions everywhere else: case
 insensitive, with the standard ``unknown <kind> '<name>'; available:
@@ -370,6 +376,13 @@ class FloatFormat(FormatSpec):
         self.man_bits = man_bits
         self.emax = 2 ** (exp_bits - 1) - 1
         self.emin = 1 - self.emax
+        #: The least magnitude that rounds to infinity, 2**(emax + 1);
+        #: float64 cannot hold it when ``exp_bits == 11``, where ldexp
+        #: raises instead.
+        self._overflow = (
+            math.ldexp(1.0, self.emax + 1) if exp_bits < _F64_EXP_BITS
+            else math.inf
+        )
         self.description = description or (
             f"binary float, {exp_bits} exponent + {man_bits} mantissa bits"
         )
@@ -386,13 +399,23 @@ class FloatFormat(FormatSpec):
             return value
         if self.exp_bits == _F64_EXP_BITS and self.man_bits == _F64_MAN_BITS:
             return value  # float64: already on the grid
-        man, exp = _dyadic_parts(value)
-        man, ulp_exp = _round_dyadic(man, exp, self.man_bits, self.emin)
-        if man == 0:
-            return math.copysign(0.0, value)
-        if ulp_exp + man.bit_length() - 1 > self.emax:
+        # value = m * 2**e with 0.5 <= |m| < 1.  Keep p significant
+        # bits of m: man_bits + 1, fewer below the normal range, where
+        # the grid's step stays 2**(emin - man_bits).
+        m, e = math.frexp(value)
+        p = self.man_bits + 1
+        if e <= self.emin:
+            p += e - self.emin - 1
+        try:
+            # ldexp scales exactly; round() of a float is exact RNE.
+            rounded = math.ldexp(round(math.ldexp(m, p)), e - p)
+        except OverflowError:  # past float64's range (exp_bits == 11)
             return math.copysign(math.inf, value)
-        return math.ldexp(man, ulp_exp)  # exact: fits inside float64
+        if rounded == 0.0:
+            return math.copysign(0.0, value)
+        if abs(rounded) >= self._overflow:
+            return math.copysign(math.inf, value)
+        return rounded
 
     def quantize_array(self, values: np.ndarray) -> np.ndarray:
         arr = np.asarray(values, dtype=np.float64)

@@ -17,12 +17,15 @@ is swappable:
   and pinned by golden tests; the default everywhere.  Its fixed-point
   path is itself two-tiered (``batch[int64]``/``batch[object]``, see
   :mod:`repro.fixedpoint.widthproof`); :meth:`~EvaluationBackend.fixed_tier`
-  reports which tier a given spec runs on.
-* ``bigfloat`` — the arbitrary-precision oracle
-  (:class:`~repro.ir.batch.OracleBatchInterpreter` over
-  :class:`~repro.formats.BigFloat` values): float evaluation at ~200
-  mantissa bits, fixed-point evaluation pinned to the exact object
-  tier.  The reference for ``repro validate --oracle`` and for
+  reports which tier a given spec runs on.  Its float path runs a
+  program without lane loops on the instance graph instead (see
+  :func:`flat_simulation`).
+* ``bigfloat`` — the arbitrary-precision oracle over
+  :class:`~repro.formats.BigFloat` values: float evaluation at ~200
+  mantissa bits, on :class:`~repro.ir.batch.OracleBatchInterpreter`'s
+  lanes or, without lane loops, on the instance graph (see
+  :func:`flat_simulation`); fixed-point evaluation pinned to the exact
+  object tier.  The reference for ``repro validate --oracle`` and for
   reduced-precision format noise.
 
 Both entry points take a *sequence* of stimuli and return one output
@@ -38,6 +41,15 @@ and largest value over the stimuli.  The base class folds
 and ``bigfloat`` keep.  ``batch`` reads them from the program's
 :class:`~repro.ir.instances.InstanceGraph` instead, one flat loop per
 stimulus, and never runs its executor for them.
+
+:func:`flat_simulation` is the one rule for the float simulations of
+``batch`` and ``bigfloat`` and for a format's measured outputs
+(:class:`~repro.accuracy.simulation.FormatAccuracyEvaluator`): a
+program whose vector plan has no lane loop runs on its instance graph,
+one flat loop per stimulus, since the lanes would pay one numpy call
+per op execution for one value per stimulus.  A program with lane
+loops, or a run with a ``range_probe`` (the lanes' hook), keeps the
+lane executors, which are the graph's bit-identity reference.
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ from repro.errors import BackendError, unknown_name_error
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fixedpoint.fxpinterp import FxpConfig
     from repro.fixedpoint.spec import FixedPointSpec
+    from repro.ir.instances import FlatSimulation
     from repro.ir.program import Program
 
 __all__ = [
@@ -60,6 +73,7 @@ __all__ = [
     "EvaluationBackend",
     "ScalarBackend",
     "available_backends",
+    "flat_simulation",
     "get_backend",
     "register_backend",
 ]
@@ -69,6 +83,26 @@ DEFAULT_BACKEND = "batch"
 
 Stimuli = Sequence[Mapping[str, np.ndarray]]
 RangeProbe = Callable[[int, object], None]
+
+
+def flat_simulation(
+    program: "Program", range_probe: RangeProbe | None = None
+) -> "FlatSimulation | None":
+    """The program's float simulations as flat loops over its instance
+    graph, or ``None`` where the lane executors run them.
+
+    The rule: a program whose vector plan has no lane loop runs flat,
+    unless a ``range_probe`` is passed.  Built per call, so nothing
+    keeps it alive in a long-running process.
+    """
+    from repro.ir.vectorize import vector_plan
+
+    if range_probe is not None or vector_plan(program).loops:
+        return None
+    # Imported here, not at the top, so a CLI start never loads it.
+    from repro.ir.instances import FlatSimulation, instance_graph
+
+    return FlatSimulation(instance_graph(program))
 
 
 class EvaluationBackend:
@@ -207,6 +241,9 @@ class BatchBackend(EvaluationBackend):
     )
 
     def run_float(self, program, stimuli, range_probe=None):
+        flat = flat_simulation(program, range_probe)
+        if flat is not None:
+            return flat.outputs(stimuli)
         from repro.ir.batch import BatchInterpreter
 
         return BatchInterpreter(program).run(stimuli, range_probe=range_probe)
@@ -254,6 +291,9 @@ class BigFloatBackend(EvaluationBackend):
     )
 
     def run_float(self, program, stimuli, range_probe=None):
+        flat = flat_simulation(program, range_probe)
+        if flat is not None:
+            return flat.oracle_outputs(stimuli)
         from repro.ir.batch import OracleBatchInterpreter
 
         return OracleBatchInterpreter(program).run(

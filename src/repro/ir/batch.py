@@ -13,6 +13,16 @@ is preserved per lane, results are bit-identical to
 reference (and the only executor supporting tracing); this one exists
 to make simulation-backed evaluation fast.
 
+The lanes serve programs with lane loops (fir, conv), where one numpy
+call evaluates every lane, and every run with a ``range_probe``.  A
+program without lane loops (iir's recurrence) would pay one numpy call
+per op execution for one value per stimulus, so its float simulations
+run as flat loops over its instance graph instead
+(:class:`~repro.ir.instances.FlatSimulation`, chosen by
+:func:`~repro.ir.backend.flat_simulation`).  The three executors here
+stay the graph's bit-identity reference in their value domains
+(``tests/test_flat_simulation.py``).
+
 ``range_probe`` is the batched counterpart of the scalar
 ``range_observer`` hook: it receives every produced value *array*
 (instead of one call per scalar), which is all min/max range

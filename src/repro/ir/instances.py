@@ -17,6 +17,18 @@ the ``batch`` backend's
 recurrence then costs one flat step per instance instead of one numpy
 call per op execution.
 
+A program whose vector plan has no lane loop (iir's recurrence) also
+runs its float simulations from the graph: :class:`FlatSimulation`
+keeps the graph's evaluation plan, and its
+:meth:`~FlatSimulation.outputs` (float64),
+:meth:`~FlatSimulation.format_outputs` (a binary float format) and
+:meth:`~FlatSimulation.oracle_outputs` (the ``bigfloat`` oracle) each
+run one flat loop per stimulus over the arithmetic instances, bit for
+bit as the lane executors of :mod:`repro.ir.batch` do
+(:func:`~repro.ir.backend.flat_simulation` makes the choice).  Programs
+with lane loops keep the lanes, where one numpy call serves every lane;
+without lane loops it would serve one value per stimulus.
+
 Instances are numbered exactly as the interpreter numbers them.  Pseudo
 sources come first: per array, in declaration order, one instance per
 INPUT or COEFF cell and one silent instance for any other array; then
@@ -31,17 +43,19 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from itertools import repeat
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.errors import InterpreterError
 from repro.ir.batch import stack_input_columns
 from repro.ir.interp import SILENT_SOURCE
 from repro.ir.optypes import OpKind
 from repro.ir.program import BlockRef, Program, ScheduleItem, flat_index
 from repro.ir.symbols import SymbolKind
 
-__all__ = ["InstanceGraph", "instance_graph"]
+__all__ = ["FlatSimulation", "InstanceGraph", "instance_graph"]
 
 # Instance kinds of the forward evaluation.  Sources (pseudo sources and
 # CONSTs) hold a preset value; copies (loads, stores, variable accesses)
@@ -94,6 +108,9 @@ class InstanceGraph:
     op_instances: dict[int, np.ndarray] = field(repr=False)
     #: instances of stores into OUTPUT arrays, execution order.
     output_instances: np.ndarray = field(repr=False)
+    #: the flat cell each of ``output_instances`` stores into, counted
+    #: across the OUTPUT arrays in declaration order.
+    output_cells: np.ndarray = field(repr=False)
 
     @property
     def n_instances(self) -> int:
@@ -103,85 +120,9 @@ class InstanceGraph:
     def values(self, inputs: Mapping[str, np.ndarray]) -> np.ndarray:
         """Float64 value of every instance, with the interpreter's
         semantics: one loop in instance order over the arithmetic
-        instances' flat buffers, then one gather for the copies."""
-        return self._evaluate(self._plan(), inputs)
-
-    def _evaluate(
-        self, plan: tuple, inputs: Mapping[str, np.ndarray]
-    ) -> np.ndarray:
-        preset, copies, copied, columns = plan
-        start = preset.copy()
-        for decl in self.program.input_arrays():
-            first = self.source[decl.name]
-            cells = stack_input_columns(decl, [inputs])[:, 0]
-            start[first:first + decl.size] = cells
-
-        value = array("d", start.tobytes())
-        for i, kind, a, b in zip(*columns):
-            if kind == ADD:
-                value[i] = value[a] + value[b]
-            elif kind == MUL:
-                value[i] = value[a] * value[b]
-            elif kind == SUB:
-                value[i] = value[a] - value[b]
-            elif kind == MIN:
-                value[i] = min(value[a], value[b])
-            elif kind == MAX:
-                value[i] = max(value[a], value[b])
-            elif kind == NEG:
-                value[i] = -value[a]
-            elif kind == ABS:
-                value[i] = abs(value[a])
-        values = np.frombuffer(value)
-        values[copies] = values[copied]
-        return values
-
-    def _plan(self) -> tuple:
-        """What evaluating the graph on any inputs shares.
-
-        The preset of every source but the inputs' cells; the copy
-        instances (loads, stores, variable accesses) with the non-copy
-        instance each one ends up forwarding; and the arithmetic
-        instances as flat buffers of instance, kind and operands, the
-        operands resolved through copies.  The loop then skips the
-        copies (two thirds of the paper twins' instances), and one
-        gather fills them after it.  :meth:`extremes` builds it once for
-        all its stimuli; it is not kept on the graph, which
-        ``extract_gains`` holds through its walks.
-        """
-        program = self.program
-        preset = np.zeros(self.n_instances)
-        for decl in program.arrays.values():
-            if decl.kind is SymbolKind.COEFF:
-                assert decl.values is not None
-                first = self.source[decl.name]
-                preset[first:first + decl.size] = decl.values.reshape(-1)
-        for var in program.variables.values():
-            preset[self.source["$" + var.name]] = var.init
-        for op in program.all_ops():
-            if op.kind is OpKind.CONST:
-                preset[self.op_instances[op.opid]] = float(op.value)  # type: ignore[arg-type]
-
-        kind, operands = self.kind, self.operands
-        copies = np.flatnonzero(kind == COPY)
-        copied = operands[0, copies]
-        chained = kind[copied] == COPY
-        while chained.any():  # pointer jumping: chains are 1-2 deep
-            copied = np.where(chained, operands[0, copied], copied)
-            chained = kind[copied] == COPY
-        resolved = np.arange(self.n_instances)
-        resolved[copies] = copied
-
-        arith = np.flatnonzero(kind > COPY)
-        first, second = operands[:, arith]
-        second = np.where(second >= 0, resolved[second], -1)
-        columns = (
-            array("q", arith.tobytes()),
-            array("b", kind[arith].tobytes()),
-            array("q", resolved[first].tobytes()),
-            array("q", second.tobytes()),
-        )
-        return preset, copies, copied, columns
+        instances, then one gather for every instance."""
+        plan, slot = self._plan()
+        return np.frombuffer(_run(plan, _floats(_start(plan, inputs))))[slot]
 
     def extremes(
         self, stimuli: Sequence[Mapping[str, np.ndarray]]
@@ -194,20 +135,76 @@ class InstanceGraph:
         )
         if not ops:
             return {}
-        gather = np.concatenate([self.op_instances[opid] for opid in ops])
+        plan, slot = self._plan()
+        gather = slot[np.concatenate([self.op_instances[opid] for opid in ops])]
         sizes = [self.op_instances[opid].size for opid in ops]
         starts = np.cumsum([0] + sizes[:-1])
-        plan = self._plan()
         lows = np.full(len(ops), np.inf)
         highs = -lows
         for stimulus in stimuli:
-            values = self._evaluate(plan, stimulus)[gather]
+            values = np.frombuffer(_run(plan, _floats(_start(plan, stimulus))))[gather]
             np.minimum(lows, np.minimum.reduceat(values, starts), out=lows)
             np.maximum(highs, np.maximum.reduceat(values, starts), out=highs)
         return {
             opid: (low, high)
             for opid, low, high in zip(ops, lows.tolist(), highs.tolist())
         }
+
+    def _plan(self) -> tuple["_Plan", np.ndarray]:
+        """What evaluating the graph on any inputs shares, and the slot
+        that holds each instance's value.
+
+        Values live in *slots*: the sources (pseudo sources, then
+        CONSTs) first, then the arithmetic instances, each in instance
+        order.  A copy instance (load, store, variable access) gets the
+        slot of the non-copy instance it ends up forwarding, so the loop
+        skips the copies (two thirds of the paper twins' instances) and
+        holds no value for them.  A pseudo source's slot is its
+        instance.  The plan is built per call, not kept on the graph,
+        which ``extract_gains`` holds through its walks.
+        """
+        program = self.program
+        kind, operands = self.kind, self.operands
+        # Masks, not index arrays, and int32 slots: the graph is alive
+        # while its plan is built, so the plan's transient adds to it.
+        is_source, is_arith, is_copy = kind == SOURCE, kind > COPY, kind == COPY
+        n_sources = int(np.count_nonzero(is_source))
+        slot = np.empty(self.n_instances, dtype=np.int32)
+        slot[is_source] = np.arange(n_sources)
+        slot[is_arith] = np.arange(n_sources, n_sources + np.count_nonzero(is_arith))
+        copied = operands[0][is_copy]
+        chained = np.flatnonzero(kind[copied] == COPY)
+        while chained.size:  # pointer jumping: chains are 1-2 deep
+            copied[chained] = operands[0, copied[chained]]
+            chained = chained[kind[copied[chained]] == COPY]
+        slot[is_copy] = slot[copied]
+        del copied
+
+        preset = np.zeros(n_sources)
+        for decl in program.arrays.values():
+            if decl.kind is SymbolKind.COEFF:
+                assert decl.values is not None
+                first = self.source[decl.name]
+                preset[first:first + decl.size] = decl.values.reshape(-1)
+        for var in program.variables.values():
+            preset[self.source["$" + var.name]] = var.init
+        for op in program.all_ops():
+            if op.kind is OpKind.CONST:
+                preset[slot[self.op_instances[op.opid]]] = float(op.value)  # type: ignore[arg-type]
+
+        second = operands[1][is_arith]
+        seconds = slot[second]
+        seconds[second < 0] = -1
+        plan = _Plan(
+            preset=preset,
+            inputs=tuple(
+                (decl, self.source[decl.name]) for decl in program.input_arrays()
+            ),
+            kinds=array("b", kind[is_arith].tobytes()),
+            firsts=array("i", slot[operands[0][is_arith]].tobytes()),
+            seconds=array("i", seconds.tobytes()),
+        )
+        return plan, slot
 
     def partials(self, values: np.ndarray) -> np.ndarray:
         """Local partials ``(2, n)`` of every instance with respect to
@@ -232,6 +229,182 @@ class InstanceGraph:
         mask = kind == ABS
         first[mask] = np.where(a[mask] >= 0, 1.0, -1.0)
         return partials
+
+
+class FlatSimulation:
+    """A program's float simulations as one flat loop per stimulus.
+
+    Built from the program's :class:`InstanceGraph`, it keeps the
+    graph's evaluation plan and the slot of each output cell's last
+    store, and not the graph.  Its three value domains give the lane
+    executors' outputs (:mod:`repro.ir.batch`) bit for bit; an output
+    cell holds its last store in instance order, or 0.0 where nothing
+    was stored, like the executors' zero-initialized storage.
+    """
+
+    def __init__(self, graph: InstanceGraph) -> None:
+        self.program = graph.program
+        plan, slot = graph._plan()
+        self._plan = plan
+        cells = graph.output_cells
+        last = cells.size - 1 - np.unique(cells[::-1], return_index=True)[1]
+        self._cells = cells[last]
+        self._slots = slot[graph.output_instances[last]].tolist()
+
+        # The oracle drops each value at its last read, so a run holds
+        # only the live BigFloats (about 150 bytes each); the output
+        # cells' last stores live to the end.
+        firsts = np.frombuffer(plan.firsts, dtype=np.int32)
+        seconds = np.frombuffer(plan.seconds, dtype=np.int32)
+        step = np.arange(firsts.size)
+        binary = seconds >= 0
+        read = np.full(plan.preset.size + firsts.size, -1)
+        np.maximum.at(read, firsts, step)
+        np.maximum.at(read, seconds[binary], step[binary])
+        read[self._slots] = firsts.size
+        drops = (read[firsts] == step) | (binary & (read[seconds] == step)) << 1
+        self._drops = array("b", drops.astype(np.int8).tobytes())
+
+    def outputs(
+        self, stimuli: Sequence[Mapping[str, np.ndarray]]
+    ) -> list[dict[str, np.ndarray]]:
+        """Float64 outputs, as :class:`~repro.ir.batch.BatchInterpreter`
+        computes them."""
+        return self._outputs(stimuli, _floats)
+
+    def format_outputs(
+        self, stimuli: Sequence[Mapping[str, np.ndarray]], format_spec
+    ) -> list[dict[str, np.ndarray]]:
+        """Outputs in a binary float format, as
+        :class:`~repro.ir.batch.FormatBatchInterpreter` computes them:
+        every source (input and coefficient cells, CONSTs, variable
+        inits) rounds into the format, and so does every ADD, SUB and
+        MUL result."""
+        return self._outputs(
+            stimuli,
+            lambda start: _floats(format_spec.quantize_array(start)),
+            format_spec.round_value,
+        )
+
+    def oracle_outputs(
+        self, stimuli: Sequence[Mapping[str, np.ndarray]]
+    ) -> list[dict[str, np.ndarray]]:
+        """Outputs of the ``bigfloat`` oracle, as
+        :class:`~repro.ir.batch.OracleBatchInterpreter` computes them:
+        every source becomes a :class:`~repro.formats.BigFloat`, and
+        every output comes back as its nearest float64."""
+        from repro.formats import BigFloat, big_to_float
+
+        return self._outputs(
+            stimuli,
+            lambda start: [BigFloat.from_float(v) for v in start.tolist()],
+            lower=big_to_float,
+            drops=self._drops,
+        )
+
+    def _outputs(
+        self,
+        stimuli: Sequence[Mapping[str, np.ndarray]],
+        lift: Callable[[np.ndarray], list | array],
+        rnd: Callable | None = None,
+        lower: Callable | None = None,
+        drops: array | None = None,
+    ) -> list[dict[str, np.ndarray]]:
+        """Run each stimulus with its sources put in a value domain by
+        ``lift``; ``rnd`` rounds each ADD, SUB and MUL result, ``lower``
+        brings a stored value back to float64, and ``drops`` is
+        :func:`_run`'s."""
+        if not stimuli:
+            raise InterpreterError("batch run needs at least one stimulus")
+        arrays = self.program.output_arrays()
+        bounds = np.cumsum([0] + [decl.size for decl in arrays])
+        results = []
+        for stimulus in stimuli:
+            value = _run(self._plan, lift(_start(self._plan, stimulus)), rnd, drops)
+            stored = [value[s] for s in self._slots]
+            del value
+            flat = np.zeros(bounds[-1])
+            flat[self._cells] = stored if lower is None else [lower(v) for v in stored]
+            results.append({
+                decl.name: flat[bounds[k]:bounds[k + 1]].reshape(decl.shape)
+                for k, decl in enumerate(arrays)
+            })
+        return results
+
+
+class _Plan(NamedTuple):
+    """See :meth:`InstanceGraph._plan`."""
+
+    #: float64 value of every source slot, the inputs' cells zero.
+    preset: np.ndarray
+    #: each INPUT array and the slot of its first cell.
+    inputs: tuple
+    #: per arithmetic instance, in instance order: its kind and the
+    #: slots of its operands (-1 past its arity).
+    kinds: array
+    firsts: array
+    seconds: array
+
+
+def _floats(values: np.ndarray) -> array:
+    """Float64 values as a flat ``array('d')``: 8 bytes a value, and no
+    float object kept alive between operations."""
+    return array("d", values.tobytes())
+
+
+def _start(plan: _Plan, inputs: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Every source slot's float64 value on ``inputs``."""
+    start = plan.preset.copy()
+    for decl, first in plan.inputs:
+        start[first:first + decl.size] = stack_input_columns(decl, [inputs])[:, 0]
+    return start
+
+
+def _run(
+    plan: _Plan,
+    value: list | array,
+    rnd: Callable | None = None,
+    drops: array | None = None,
+) -> list | array:
+    """Append every arithmetic instance's value to ``value``, which
+    holds the sources' values in slot order, and return it.
+
+    The values are floats (an ``array('d')``) or
+    :class:`~repro.formats.BigFloat` values (a list), and the operators
+    are the lane executors'.  ``rnd`` rounds each ADD, SUB and MUL
+    result.  MIN and MAX are the builtins, which take ``b`` only when
+    ``b < a`` (``b > a``), as the lanes' ``np.where`` does.
+    ``drops`` has, per arithmetic instance, bit 0 (1) set when this is
+    the last read of its first (second) operand, which then becomes
+    ``None``.
+    """
+    append = value.append
+    for kind, a, b, drop in zip(
+        plan.kinds, plan.firsts, plan.seconds, drops or repeat(0)
+    ):
+        if kind == ADD:
+            result = value[a] + value[b]
+        elif kind == MUL:
+            result = value[a] * value[b]
+        elif kind == SUB:
+            result = value[a] - value[b]
+        elif kind == MIN:
+            result = min(value[a], value[b])
+        elif kind == MAX:
+            result = max(value[a], value[b])
+        elif kind == NEG:
+            result = -value[a]
+        else:
+            result = abs(value[a])
+        if rnd is not None and kind <= MUL:
+            result = rnd(result)
+        append(result)
+        if drop:
+            if drop & 1:
+                value[a] = None
+            if drop & 2:
+                value[b] = None
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -327,6 +500,12 @@ def instance_graph(program: Program) -> InstanceGraph:
     op_instances: dict[int, np.ndarray] = {}
     reads: dict[str, list] = {}  # source key -> (instances, cells) pairs
     writes: dict[str, list] = {}
+    output_offset: dict[str, int] = {}  # OUTPUT array -> its first cell
+    for decl in program.output_arrays():
+        output_offset[decl.name] = sum(
+            program.arrays[name].size for name in output_offset
+        )
+    output_stores = [(np.zeros(0, np.int64), np.zeros(0, np.int64))]
     first_bad: tuple | None = None  # (instance, op, execution)
 
     for b, name in enumerate(names):
@@ -355,6 +534,8 @@ def instance_graph(program: Program) -> InstanceGraph:
                 continue
             into = reads if op.kind in (OpKind.LOAD, OpKind.READVAR) else writes
             into.setdefault(key, []).append((inst, cells))
+            if op.kind is OpKind.STORE and key in output_offset:
+                output_stores.append((inst, output_offset[key] + cells))
 
     if first_bad is not None:
         _, op, execution = first_bad
@@ -373,7 +554,8 @@ def instance_graph(program: Program) -> InstanceGraph:
             insts, cells, writes.get(key, []), n, initial
         )
 
-    outputs = [op_instances[op.opid] for op in program.output_store_ops()]
+    output_instances = np.concatenate([inst for inst, _ in output_stores])
+    order = np.argsort(output_instances)
     arity = (operands >= 0).sum(axis=0, dtype=np.int8)
     return InstanceGraph(
         program=program,
@@ -385,7 +567,8 @@ def instance_graph(program: Program) -> InstanceGraph:
         n_sources=n_sources,
         source=source,
         op_instances=op_instances,
-        output_instances=np.sort(np.concatenate(outputs or [np.zeros(0, np.int64)])),
+        output_instances=output_instances[order],
+        output_cells=np.concatenate([cells for _, cells in output_stores])[order],
     )
 
 

@@ -231,6 +231,59 @@ class TestCacheTmpHygiene:
         assert not stale.exists()  # orphan swept by the coordinator
         assert fresh.exists()  # a live writer's young file is untouched
 
+    def test_directory_listed_once_per_stale_window(
+        self, config, reference_cells, tmp_path, monkeypatch
+    ):
+        """Each ``repro serve`` job resolves through a fresh
+        ``SweepCache``; a process lists one directory once per stale
+        window, and a temp file orphaned later goes once the window has
+        passed (fake clock)."""
+        import os
+        import time
+        from pathlib import Path
+        from types import SimpleNamespace
+
+        from repro.experiments import cache as cache_module
+
+        now = [time.time()]
+        monkeypatch.setattr(cache_module, "time", SimpleNamespace(time=lambda: now[0]))
+        listings = []
+        glob = Path.glob
+
+        def counting_glob(self, pattern):
+            if pattern == "*.json.tmp*":
+                listings.append(self)
+            return glob(self, pattern)
+
+        monkeypatch.setattr(Path, "glob", counting_glob)
+        request = next(iter(reference_cells))
+        SweepCache(tmp_path).store(config, request, reference_cells[request])
+
+        def resolve_once():
+            executor = SweepExecutor(config, cache=SweepCache(tmp_path), jobs=1)
+            _, stats = executor.run(SweepPlan(config, [request]))
+            assert stats.cache == 1
+
+        for _ in range(3):
+            resolve_once()
+        assert len(listings) == 1
+
+        started = now[0]
+        orphan = tmp_path / ("b" * 32 + ".json.tmp4242")
+        orphan.write_text("{ torn write of a worker killed later")
+        os.utime(orphan, (started, started))
+        now[0] = started + cache_module._TMP_STALE_SECONDS - 1
+        resolve_once()  # inside the window: not listed
+        assert len(listings) == 1 and orphan.exists()
+
+        now[0] = started + cache_module._TMP_STALE_SECONDS + 1
+        live = tmp_path / ("c" * 32 + ".json.tmp77")
+        live.write_text("{ a concurrent worker mid-write")
+        os.utime(live, (now[0], now[0]))
+        resolve_once()  # the window has passed: listed and groomed
+        assert len(listings) == 2
+        assert not orphan.exists() and live.exists()
+
 
 #: The infeasible-constraint cell injected by the fault-tolerance
 #: tests: -400 dB is unreachable even at 32-bit word lengths, so the

@@ -25,6 +25,7 @@ import time
 import numpy as np
 import pytest
 
+from format_reference import reference_round
 from repro.accuracy import FormatAccuracyEvaluator
 from repro.accuracy.metrics import measured_noise_power
 from repro.api import SweepRequest
@@ -157,6 +158,97 @@ class TestFloatFormatRounding:
             FloatFormat("toowide", 12, 10)
         with pytest.raises(FormatError, match="mantissa width"):
             FloatFormat("toolong", 8, 53)
+
+
+#: Formats whose rounding is held to the reference, edges included:
+#: the registered reduced formats, IEEE half, the narrowest members, and
+#: float64's exponent range with a shorter mantissa.
+EXACTNESS_FORMATS = (
+    "float32", "bfloat16", "binary(5,10)", "binary(2,1)", "binary(3,2)",
+    "binary(11,51)", "binary(11,1)",
+)
+
+
+def _bits(values) -> bytes:
+    """The float64 bits of ``values``: ``==`` cannot tell -0.0 from 0.0,
+    and a NaN equals nothing."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _edge_values(spec) -> list[float]:
+    """Each place the rounding can go wrong, both signs.
+
+    The subnormal grid and the ties between its points; a tie in every
+    binade (one rounding down to even, one up); the overflow threshold
+    and one float64 ulp either side of it; and the float64 specials.
+    """
+    tiny = math.ldexp(1.0, spec.emin - spec.man_bits)  # subnormal step
+    half_ulp = math.ldexp(1.0, -(spec.man_bits + 1))
+    values = [k * tiny for k in range(0, 2 ** min(spec.man_bits, 10) + 3)]
+    values += [(k + 0.5) * tiny for k in range(0, 2 ** min(spec.man_bits, 10) + 2)]
+    for exponent in range(spec.emin, spec.emax + 1):
+        values.append(math.ldexp(1.0 + half_ulp, exponent))
+        values.append(math.ldexp(1.0 + 3 * half_ulp, exponent))
+    threshold = math.ldexp(2.0 - half_ulp, spec.emax)
+    with np.errstate(over="ignore"):  # float64's max has no next float
+        above = float(np.nextafter(threshold, math.inf))
+    values += [
+        threshold, float(np.nextafter(threshold, 0.0)), above,
+        math.ldexp(2.0 - 2 * half_ulp, spec.emax),  # the largest finite
+    ]
+    values += [
+        0.0, math.inf, math.nan, 5e-324, 2.5e-323, 2.0**-1074 * 12345,
+        2.0**-1022, np.nextafter(2.0**-1022, 0.0), 1.7976931348623157e308,
+    ]
+    return values + [-v for v in values]
+
+
+class TestRoundingExactness:
+    """``round_value`` and ``quantize_array`` equal the integer
+    reference (``tests/format_reference.py``) bit for bit."""
+
+    @pytest.mark.parametrize("name", EXACTNESS_FORMATS)
+    def test_random_values(self, name):
+        spec = get_format(name)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        values = np.concatenate([
+            rng.normal(0.0, 1.0, 4000),
+            rng.standard_normal(4000) * np.exp2(rng.integers(
+                max(spec.emin - spec.man_bits - 4, -1074),
+                min(spec.emax + 3, 1024), 4000,
+            ).astype(float)),
+            rng.standard_normal(2000)
+            * np.exp2(rng.integers(-1074, 1024, 2000).astype(float)),
+        ])
+        expected = _bits([reference_round(spec, v) for v in values.tolist()])
+        assert _bits([spec.round_value(v) for v in values.tolist()]) == expected
+        assert spec.quantize_array(values).tobytes() == expected
+
+    @pytest.mark.parametrize("name", EXACTNESS_FORMATS)
+    def test_edges(self, name):
+        spec = get_format(name)
+        values = _edge_values(spec)
+        expected = _bits([reference_round(spec, v) for v in values])
+        assert _bits([spec.round_value(v) for v in values]) == expected
+        assert spec.quantize_array(np.array(values)).tobytes() == expected
+
+    def test_overflow_threshold_rounds_to_infinity(self):
+        for name in EXACTNESS_FORMATS:
+            spec = get_format(name)
+            half_ulp = math.ldexp(1.0, -(spec.man_bits + 1))
+            threshold = math.ldexp(2.0 - half_ulp, spec.emax)
+            largest = math.ldexp(2.0 - 2 * half_ulp, spec.emax)
+            assert spec.round_value(threshold) == math.inf, name
+            assert spec.round_value(-threshold) == -math.inf, name
+            below = float(np.nextafter(threshold, 0.0))
+            assert spec.round_value(below) == largest, name
+
+    def test_half_matches_numpy_float16_on_the_edges(self):
+        spec = get_format("binary(5,10)")
+        values = np.array([v for v in _edge_values(spec) if not math.isnan(v)])
+        with np.errstate(over="ignore"):  # the overflow-to-inf probes
+            numpy_cast = values.astype(np.float16).astype(np.float64)
+        assert spec.quantize_array(values).tobytes() == numpy_cast.tobytes()
 
 
 # ----------------------------------------------------------------------
