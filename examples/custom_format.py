@@ -19,7 +19,7 @@ Run:  python examples/custom_format.py
 """
 
 from repro.accuracy import FormatAccuracyEvaluator
-from repro.experiments import ExperimentRunner
+from repro.experiments import ExperimentRunner, KernelConfig
 from repro.formats import get_format
 from repro.kernels import fir
 from repro.pipeline import AnalysisContext
@@ -46,10 +46,10 @@ def main() -> None:
     # 3. The same format as a sweep axis: format cells skip WLO (there
     #    are no word lengths to optimize) and report the format's own
     #    rounding noise with float-flow cycles.
-    runner = ExperimentRunner(
+    runner = ExperimentRunner(KernelConfig(
         n_samples=96, analysis_samples=96,
         image_size=18, analysis_image_size=18,
-    )
+    ))
     cell = runner.cell("fir", "vex-1", -25.0, format="binary(8,10)")
     print(f"\nfir:vex-1 @ -25 dB under binary(8,10): "
           f"{cell.wlo_slp_cycles} cycles, "

@@ -9,9 +9,10 @@ there was nothing to put on the wire.
 This module is the single source of truth instead:
 
 * :class:`SweepRequest` — every knob of a (kernel × target ×
-  constraint) sweep: the grid slice, the flow/WLO/sim-backend
-  selections, and the execution options (jobs, execution backend,
-  cache directory).  Frozen, hashable, JSON round-trippable.
+  constraint) sweep: the grid slice, the cell axes (WLO engine, flow,
+  simulation backend, continuation/pareto, format), and the execution
+  options (jobs, execution backend, cache directory).  Frozen,
+  hashable, JSON round-trippable.
 * :class:`RunRequest` — one flow on one kernel (``repro run``).
 * :class:`SweepReport` — the result side: per-cell outcome payloads
   plus resolution statistics, equally JSON round-trippable.
@@ -44,6 +45,7 @@ from typing import Any, Mapping
 
 from repro.errors import FlowError
 from repro.experiments.engine import (
+    CELL_AXES,
     PAPER_CONSTRAINT_GRID,
     PAPER_TARGETS,
     CellOutcome,
@@ -51,6 +53,8 @@ from repro.experiments.engine import (
     KernelConfig,
     SweepPlan,
     SweepStats,
+    _flow_overrides,
+    _incomplete_error,
     _parse_only,
 )
 
@@ -78,9 +82,10 @@ class SweepRequest:
     Name fields hold registry names (resolved lazily, validated by
     :meth:`validate`); ``""`` in the optional string fields means "use
     the default" (``sim_backend``: each flow's declared backend,
-    ``backend``: auto-select serial/process, ``cache_dir``: the
+    ``backend``: auto-select serial/workqueue, ``cache_dir``: the
     standard cache location) — a string rather than ``None`` so the
     object stays total under JSON round-trips and hashing.
+    :meth:`cell_axes` maps the fields onto a cell's axes.
     """
 
     kernels: tuple[str, ...] = ("fir", "iir", "conv")
@@ -144,6 +149,15 @@ class SweepRequest:
             return "pareto"
         return "warm" if self.continuation else ""
 
+    def cell_axes(self) -> dict[str, str]:
+        """The request's value of every cell axis
+        (:data:`~repro.experiments.engine.CELL_AXES`), the mapping the
+        runner and the figure/table functions forward as ``**axes``.  The
+        ``continuation`` and ``pareto`` flags fold into one mode."""
+        axes = {axis: getattr(self, axis) for axis in CELL_AXES}
+        axes["continuation"] = self.continuation_mode
+        return axes
+
     # ------------------------------------------------------------------
     def validate(self) -> "SweepRequest":
         """Resolve every name through its registry; returns ``self``.
@@ -198,9 +212,8 @@ class SweepRequest:
         """The request's deduplicated job graph (engine entry point)."""
         return SweepPlan.build(
             config if config is not None else KernelConfig(),
-            self.kernels, self.targets, self.grid, self.wlo, self.only,
-            self.flow, self.sim_backend, self.continuation_mode,
-            self.format,
+            self.kernels, self.targets, self.grid, self.only,
+            **self.cell_axes(),
         )
 
     # ------------------------------------------------------------------
@@ -253,41 +266,22 @@ class SweepRequest:
     def from_args(cls, args: Any) -> "SweepRequest":
         """Materialize from a parsed CLI namespace.
 
-        Reads whichever of the shared engine flags the subcommand
-        declares (``--jobs/--backend/--cache-dir/--no-cache/
-        --sim-backend`` come from the shared parent parser in
+        Reads every field that shares its name with a parsed flag (the
+        shared engine flags come from one parent parser in
         :mod:`repro.cli`), falling back to the request defaults for
         the rest — so every sweep-backed subcommand materializes into
-        the same object the wire and Python surfaces use.
+        the same object the wire and Python surfaces use.  The
+        singular ``--kernel``/``--target`` of ``repro ablations`` fill
+        ``kernels``/``targets``.
         """
         values: dict[str, Any] = {}
-        kernels = getattr(args, "kernels", None)
-        if kernels is None and getattr(args, "kernel", None) is not None:
-            kernels = [args.kernel]
-        if kernels is not None:
-            values["kernels"] = kernels
-        targets = getattr(args, "targets", None)
-        if targets is None and getattr(args, "target", None) is not None:
-            targets = [args.target]
-        if targets is not None:
-            values["targets"] = targets
-        if getattr(args, "grid", None) is not None:
-            values["grid"] = args.grid
-        if getattr(args, "only", None) is not None:
-            values["only"] = args.only
-        for name in ("wlo", "flow"):
+        for name in (f.name for f in dataclasses.fields(cls)):
             value = getattr(args, name, None)
+            if value is None and name in ("kernels", "targets"):
+                single = getattr(args, name[:-1], None)
+                value = None if single is None else [single]
             if value is not None:
-                values[name] = value
-        values["sim_backend"] = getattr(args, "sim_backend", None) or ""
-        values["jobs"] = getattr(args, "jobs", 1)
-        values["backend"] = getattr(args, "backend", None) or ""
-        cache_dir = getattr(args, "cache_dir", None)
-        values["cache_dir"] = str(cache_dir) if cache_dir else ""
-        values["no_cache"] = bool(getattr(args, "no_cache", False))
-        values["continuation"] = bool(getattr(args, "continuation", False))
-        values["pareto"] = bool(getattr(args, "pareto", False))
-        values["format"] = getattr(args, "format", None) or ""
+                values[name] = str(value) if name == "cache_dir" else value
         return cls(**values)
 
 
@@ -326,12 +320,10 @@ class RunRequest:
         program = kernel_by_name(self.kernel)
         target = get_target(self.target)
         spec = get_flow(self.flow)
-        overrides: dict[str, Any] = {}
+        overrides: dict[str, Any] = _flow_overrides(spec, self)
         if self.wlo:
             get_wlo_engine(self.wlo)  # validate, listing alternatives
             overrides["wlo"] = self.wlo
-        if self.sim_backend and "sim_backend" in spec.params:
-            overrides["sim_backend"] = self.sim_backend
         return execute_flow(
             self.flow, program, target,
             self.constraint_db if spec.needs_constraint else None,
@@ -425,12 +417,7 @@ class SweepReport:
         return cls(
             request=request,
             outcomes=tuple(outcome_payload(o) for o in outcomes),
-            counts={
-                "memo": stats.memo,
-                "cache": stats.cache,
-                "computed": stats.computed,
-                "failed": stats.failed,
-            },
+            counts=stats.counts(),
             elapsed_s=round(float(elapsed_s), 3),
         )
 
@@ -449,19 +436,10 @@ class SweepReport:
         builders), after everything completable resolved and
         persisted.  Returns ``self`` for chaining.
         """
-        if not self.failures:
-            return self
-        details = "; ".join(
-            f"{o['request']['kernel']}:{o['request']['target']} @ "
-            f"{o['request']['constraint_db']:g} dB "
-            f"(wlo={o['request']['wlo']}, flow={o['request']['flow']}): "
-            f"{o['error']}"
-            for o in self.failures
-        )
-        raise FlowError(
-            f"{len(self.failures)} of {len(self.outcomes)} sweep cells "
-            f"failed (all other cells completed) — {details}"
-        )
+        failures = [(self.cell_request(o), o["error"]) for o in self.failures]
+        if failures:
+            raise _incomplete_error(failures, len(self.outcomes))
+        return self
 
     def cell_request(self, payload: Mapping[str, Any]) -> CellRequest:
         """The typed :class:`CellRequest` of one outcome payload."""

@@ -34,18 +34,21 @@ service's ``GET /registries``).
 
 Every sweep-backed command (``sweep``, ``fig4``, ``table1``, ``fig6``,
 ``ablations``, ``validate``, ``serve``) declares the *same* shared
-engine flags — ``--jobs``, ``--backend`` (execution backend:
-``serial``/``workqueue``), ``--cache-dir``,
-``--no-cache``, ``--sim-backend``, ``--continuation``, ``--pareto``,
-``--format`` (numeric format: ``float32``/``bfloat16``/``binary(E,M)``,
-from :mod:`repro.formats`) —
-through one argparse parent
-parser, and materializes them into a typed
-:class:`repro.api.SweepRequest`: the exact object Python callers pass
-to :meth:`ExperimentRunner.submit` and HTTP clients POST to
-``repro serve``.  Sweeps are fault-tolerant: failing cells are
-reported in a per-cell failure table (and a non-zero exit) only after
-every other cell completed and persisted.
+engine flags through one argparse parent parser: the execution flags
+``--jobs``, ``--backend`` (``serial``/``workqueue``), ``--cache-dir``
+and ``--no-cache``, and the cell-axis flags ``--sim-backend``,
+``--continuation``, ``--pareto`` and ``--format`` (numeric format:
+``float32``/``bfloat16``/``binary(E,M)``, from :mod:`repro.formats`).
+They materialize into a typed :class:`repro.api.SweepRequest`: the
+exact object Python callers pass to :meth:`ExperimentRunner.submit`
+and HTTP clients POST to ``repro serve``.  The figure and table
+commands forward its :meth:`~repro.api.SweepRequest.cell_axes` by
+name.  A command that cannot honor a cell-axis flag exits 1 naming it
+(``_UNHONORED_AXES``: ``table1`` and ``fig6`` take no ``--format``,
+``validate`` neither ``--continuation``, ``--pareto`` nor ``--format``,
+``ablations`` none of the four).  Sweeps are fault-tolerant: failing
+cells are reported in a per-cell failure table (and a non-zero exit)
+only after every other cell completed and persisted.
 """
 
 from __future__ import annotations
@@ -236,9 +239,9 @@ def _engine_parent(
 ) -> argparse.ArgumentParser:
     """The shared engine flags, declared exactly once.
 
-    Every sweep-backed subcommand inherits this parent, so
-    ``--jobs/--backend/--cache-dir/--no-cache/--sim-backend`` spell,
-    default and document identically everywhere, and
+    Every sweep-backed subcommand inherits this parent, so the
+    execution and cell-axis flags spell, default and document
+    identically everywhere, and
     :meth:`repro.api.SweepRequest.from_args` can materialize any of
     those namespaces the same way.
     """
@@ -340,6 +343,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     from repro.experiments import (
         DENSE_CONSTRAINT_GRID,
         PAPER_CONSTRAINT_GRID,
+        ExperimentRunner,
         ablation_wlo_engines,
         ablation_wlo_slp_features,
         render_fig4,
@@ -349,47 +353,38 @@ def _dispatch(args: argparse.Namespace) -> int:
         table1,
         validation_table,
     )
+    from repro.report import ProgressPrinter
 
     request = SweepRequest.from_args(args).validate()
-    runner = _make_runner(request)
+    _reject_unhonored_axes(args.command, request)
+    runner = ExperimentRunner.from_request(request, progress=ProgressPrinter())
     grid = tuple(getattr(args, "grid", None) or PAPER_CONSTRAINT_GRID)
-    if request.format and args.command in (
-        "table1", "fig6", "ablations", "validate"
-    ):
-        raise ReproError(
-            f"--format applies to sweep and fig4 only: {args.command} "
-            "tabulates fixed-point WLO results"
-        )
+    axes = request.cell_axes()
 
     if args.command == "sweep":
         return _cmd_sweep(args, request, runner)
     if args.command == "fig4":
-        mode = request.continuation_mode
         if args.dense:
-            if getattr(args, "grid", None) is None:
+            if args.grid is None:
                 grid = DENSE_CONSTRAINT_GRID
             # A dense panel under per-cell cold WLO would cost 4x the
             # paper grid; the Pareto-front engine walks each panel's
             # frontier once regardless of resolution.  An explicit
             # --continuation still wins.
-            mode = mode or "pareto"
+            axes["continuation"] = axes["continuation"] or "pareto"
         print(render_fig4(runner, request.kernels, request.targets, grid,
-                          sim_backend=request.sim_backend,
-                          continuation=mode, format=request.format))
+                          **axes))
         _export(args, fig4_table(runner, request.kernels, request.targets,
-                                 grid, sim_backend=request.sim_backend,
-                                 continuation=mode, format=request.format),
-                "fig4")
+                                 grid, **axes), "fig4")
         return 0
     if args.command == "table1":
-        table = table1(runner, grid=grid, sim_backend=request.sim_backend)
+        table = table1(runner, grid=grid, **axes)
         print(table.render())
         _export(args, table, "table1")
         return 0
     if args.command == "fig6":
-        print(render_fig6(runner, grid=grid, sim_backend=request.sim_backend))
-        _export(args, fig6_table(runner, grid=grid,
-                                 sim_backend=request.sim_backend), "fig6")
+        print(render_fig6(runner, grid=grid, **axes))
+        _export(args, fig6_table(runner, grid=grid, **axes), "fig6")
         return 0
     if args.command == "validate":
         from repro.ir.backend import DEFAULT_BACKEND
@@ -413,6 +408,30 @@ def _dispatch(args: argparse.Namespace) -> int:
         _export(args, engines, "ablation_engines")
         return 0
     raise ReproError(f"unhandled command {args.command!r}")
+
+
+#: The shared cell-axis flags each command cannot honor, and why.  A
+#: flag given to such a command is an error, never silently dropped.
+_UNHONORED_AXES: dict[str, tuple[tuple[str, ...], str]] = {
+    "table1": (("format",), "tabulates fixed-point WLO results"),
+    "fig6": (("format",), "tabulates fixed-point WLO results"),
+    "validate": (
+        ("continuation", "pareto", "format"),
+        "measures uniform fixed-point specs and runs no WLO search",
+    ),
+    "ablations": (
+        ("sim_backend", "continuation", "pareto", "format"),
+        "runs its flow variants outside the sweep cells",
+    ),
+}
+
+
+def _reject_unhonored_axes(command: str, request) -> None:
+    names, reason = _UNHONORED_AXES.get(command, ((), ""))
+    for name in names:
+        if getattr(request, name):
+            flag = "--" + name.replace("_", "-")
+            raise ReproError(f"{command} does not take {flag}: it {reason}")
 
 
 def _cmd_flows(args: argparse.Namespace) -> int:
@@ -457,15 +476,6 @@ def _cmd_flows(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_runner(request):
-    """An engine-backed runner honouring the request's execution
-    options (--jobs/--backend/--cache-dir/--no-cache)."""
-    from repro.experiments import ExperimentRunner
-    from repro.report import ProgressPrinter
-
-    return ExperimentRunner.from_request(request, progress=ProgressPrinter())
-
-
 def _cmd_sweep(args: argparse.Namespace, request, runner) -> int:
     """Run a grid slice through the engine and print the flat table.
 
@@ -475,6 +485,7 @@ def _cmd_sweep(args: argparse.Namespace, request, runner) -> int:
     and the exit status is non-zero only after everything completable
     completed.
     """
+    from repro.experiments import SweepStats
     from repro.report import TextTable
 
     report = runner.submit(request)
@@ -517,20 +528,13 @@ def _cmd_sweep(args: argparse.Namespace, request, runner) -> int:
             "yes" if cell.warm_start else "",
         )
     print(table.render())
-    failed = report.counts.get("failed", 0)
-    if failed:
+    stats = SweepStats(**report.counts)
+    if stats.failed:
         print()
         print(failures.render())
-    stats_text = (
-        f"{len(report.outcomes)} cells: {report.counts.get('computed', 0)} "
-        f"computed, {report.counts.get('cache', 0)} from disk cache, "
-        f"{report.counts.get('memo', 0)} memoized"
-    )
-    if failed:
-        stats_text += f", {failed} failed"
-    print(f"\n{stats_text} in {report.elapsed_s:.1f}s")
+    print(f"\n{stats.summary()} in {report.elapsed_s:.1f}s")
     _export(args, table, "sweep")
-    return 1 if failed else 0
+    return 1 if stats.failed else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -540,18 +544,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.api import SweepRequest
     from repro.serve import SweepService, make_server
 
-    defaults = SweepRequest.from_args(args).validate()
     service = SweepService(
-        defaults={
-            "jobs": defaults.jobs,
-            "backend": defaults.backend,
-            "cache_dir": defaults.cache_dir,
-            "no_cache": defaults.no_cache,
-            "sim_backend": defaults.sim_backend,
-            "continuation": defaults.continuation,
-            "pareto": defaults.pareto,
-            "format": defaults.format,
-        }
+        defaults=SweepRequest.from_args(args).validate().to_payload()
     )
     server = make_server(args.host, args.port, service, verbose=args.verbose)
     host, port = server.server_address[:2]

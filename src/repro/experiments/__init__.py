@@ -4,7 +4,9 @@ Architecture (one layer per module):
 
 * :mod:`~repro.experiments.engine` — the parallel sweep engine.  A
   sweep is a :class:`SweepPlan` of frozen :class:`CellRequest` keys
-  (kernel, target, constraint, WLO engine); :func:`evaluate_cell` is a
+  (kernel, target, constraint and the cell axes ``CELL_AXES``: WLO
+  engine, joint flow, simulation backend, continuation mode, numeric
+  format); :func:`evaluate_cell` is a
   pure, picklable function from request to :class:`Cell`; a
   :class:`SweepExecutor` resolves plans through an in-memory memo, an
   optional on-disk cache, and a pluggable execution backend,

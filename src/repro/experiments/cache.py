@@ -3,7 +3,9 @@
 One JSON file per cell under a cache directory, named by a SHA-256
 content hash of everything that determines the cell's numbers: the
 kernel problem sizes (:class:`~repro.experiments.engine.KernelConfig`),
-the full cell key (kernel, target, constraint, WLO engine), and
+the full cell key (kernel, target, constraint and every cell axis:
+WLO engine, joint flow, simulation backend, continuation mode, numeric
+format), the cell's resolved pipeline structure, and
 :func:`~repro.pipeline.cache.flow_code_version` — a hash of every
 semantic source module.  Editing pipeline/WLO/SLP/accuracy/… code rolls
 the version and orphans stale entries; editing tests, docs, report

@@ -31,7 +31,7 @@ one bad cell can never lose a sweep's worth of completed work.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import FlowError, unknown_name_error
@@ -48,6 +48,8 @@ from repro.pipeline.registry import registry_generation
 from repro.targets.registry import get_target
 
 __all__ = [
+    "CELL_AXES",
+    "FLOW_AXES",
     "PAPER_CONSTRAINT_GRID",
     "PAPER_TARGETS",
     "Cell",
@@ -159,6 +161,20 @@ class CellRequest:
         object.__setattr__(self, "format", canonical_format(self.format))
 
 
+#: A cell's axes: the :class:`CellRequest` fields after its (kernel,
+#: target, constraint_db) coordinates.  Every layer between the CLI and
+#: the flows forwards them as one ``**axes`` mapping, so a new axis is
+#: a new field here (plus its :class:`~repro.api.SweepRequest` field
+#: and CLI flag).
+CELL_AXES: tuple[str, ...] = tuple(f.name for f in fields(CellRequest))[3:]
+
+#: The axes that are flow parameters: a flow declaring one in its
+#: ``FlowSpec.params`` runs with the cell's value.  ``wlo`` is not
+#: one — it selects the baseline's engine only, and a joint flow that
+#: declares ``wlo`` (``wlo-first-greedy``) keeps its own engine.
+FLOW_AXES: tuple[str, ...] = ("sim_backend", "continuation", "format")
+
+
 @dataclass
 class Cell:
     """All numbers of one (kernel, target, constraint) sweep cell."""
@@ -243,10 +259,10 @@ def float_cycles(config: KernelConfig, kernel: str, target: str) -> int:
     return run_flow("float", program, get_target(target)).total_cycles
 
 
-#: (registry generation, memoized signatures by (wlo, flow)) — the
-#: sweep cache computes a cell key on every load *and* store, so the
-#: per-(wlo, flow) structure is resolved once per registry state
-#: instead of rebuilding three pipelines per cell.
+#: (registry generation, memoized signatures by cell axes) — the
+#: sweep cache computes a cell key on every load *and* store, so each
+#: axes' structure is resolved once per registry state instead of
+#: rebuilding three pipelines per cell.
 _SIGNATURES: list = [-1, {}]
 
 
@@ -265,10 +281,7 @@ def cell_pipeline_signature(request: CellRequest) -> dict[str, list[str]]:
         _SIGNATURES[0] = generation
         _SIGNATURES[1] = {}
     memo = _SIGNATURES[1]
-    key = (
-        request.wlo, request.flow, request.sim_backend,
-        request.continuation, request.format,
-    )
+    key = tuple(getattr(request, axis) for axis in CELL_AXES)
     found = memo.get(key)
     if found is None:
         found = {
@@ -287,26 +300,23 @@ def cell_pipeline_signature(request: CellRequest) -> dict[str, list[str]]:
     return found
 
 
-def _flow_overrides(spec, request: CellRequest) -> dict[str, str]:
-    """The request's per-flow overrides, iff the flow takes them.
+def _flow_overrides(spec, request) -> dict[str, str]:
+    """The request's set :data:`FLOW_AXES` that the flow declares.
 
-    Flows without simulation-backed passes (``float``) accept no
-    ``sim_backend`` parameter, and constraint-free flows no
-    ``continuation`` either; for them the request fields are no-ops
-    rather than errors — mirroring the CLI's ``--sim-backend``
-    behaviour on ``repro run``.  Non-empty overrides land in the
-    resolved pass signatures, which is how the continuation mode
-    reaches both the per-pass cache key and (via
-    :func:`cell_pipeline_signature`) the on-disk sweep cache key.
+    An axis a flow does not declare (the ``float`` flow has no
+    simulation-backed pass and no search) is a no-op for that flow,
+    not an error.  ``request`` is a :class:`CellRequest` or any object
+    carrying some of the axes (``repro run``'s
+    :class:`~repro.api.RunRequest`).  The overrides land in the
+    resolved pass signatures, and so in both the per-pass cache key
+    and (via :func:`cell_pipeline_signature`) the on-disk sweep cache
+    key.
     """
-    overrides: dict[str, str] = {}
-    if request.sim_backend and "sim_backend" in spec.params:
-        overrides["sim_backend"] = request.sim_backend
-    if request.continuation and "continuation" in spec.params:
-        overrides["continuation"] = request.continuation
-    if request.format and "format" in spec.params:
-        overrides["format"] = request.format
-    return overrides
+    return {
+        axis: getattr(request, axis)
+        for axis in FLOW_AXES
+        if getattr(request, axis, "") and axis in spec.params
+    }
 
 
 def wlo_stats_numbers(stats: Any) -> tuple[int, int, bool]:
@@ -495,40 +505,31 @@ class SweepPlan:
         kernels: Iterable[str],
         targets: Iterable[str],
         grid: Iterable[float] = PAPER_CONSTRAINT_GRID,
-        wlo: str = "tabu",
         only: Iterable[str] | None = None,
-        flow: str = "wlo-slp",
-        sim_backend: str = "",
-        continuation: str = "",
-        format: str = "",
+        **axes: str,
     ) -> "SweepPlan":
         """Enumerate (kernel × target × constraint) cells.
 
         ``only`` restricts the grid to ``kernel:target`` pairs (the CLI
-        ``--only fir:vex-1`` filter); ``wlo`` and ``flow`` select the
-        baseline WLO engine and the joint flow variant of every cell
-        and ``sim_backend`` optionally overrides the simulation backend
-        of every simulation-backed pass.  Duplicates are dropped and
-        the result is ordered kernel-major so consecutive cells share
-        analysis-pass results — the shared-work deduplication that
-        makes the serial path and each pool worker analyze every
-        kernel once.
+        ``--only fir:vex-1`` filter); ``axes`` (any of
+        :data:`CELL_AXES`, see :class:`CellRequest`) stamp every cell.
+        Duplicates are dropped and the result is ordered kernel-major
+        so consecutive cells share analysis-pass results — the
+        shared-work deduplication that makes the serial path and each
+        pool worker analyze every kernel once.
 
-        ``continuation`` stamps every cell with a cross-constraint
-        reuse mode and orders each (kernel, target) panel's constraints
-        strictest-first (most negative dB first): a stricter solution
-        is always feasible at a looser constraint, so in-order
-        execution hands every cell after a panel's first a usable warm
-        seed.  The ordering is an *optimization*, not a contract —
-        continuation stores are per process, so a panel split across
-        ``workqueue`` workers runs partly cold, never wrong.
-
-        ``format`` stamps every cell with a :mod:`repro.formats` name
-        (``""`` = the fixed-point default); see :class:`CellRequest`.
+        A ``continuation`` mode orders each (kernel, target) panel's
+        constraints strictest-first (most negative dB first): a
+        stricter solution is always feasible at a looser constraint,
+        so in-order execution hands every cell after a panel's first a
+        usable warm seed.  The ordering is an *optimization*, not a
+        contract — continuation stores are per process, so a panel
+        split across ``workqueue`` workers runs partly cold, never
+        wrong.
         """
         pairs = _parse_only(only)
         constraints = [float(constraint) for constraint in grid]
-        if continuation:
+        if axes.get("continuation"):
             constraints = sorted(constraints)
         seen: set[CellRequest] = set()
         requests: list[CellRequest] = []
@@ -537,10 +538,7 @@ class SweepPlan:
                 if pairs is not None and (kernel, target) not in pairs:
                     continue
                 for constraint in constraints:
-                    request = CellRequest(
-                        kernel, target, constraint, wlo, flow,
-                        sim_backend, continuation, format,
-                    )
+                    request = CellRequest(kernel, target, constraint, **axes)
                     if request not in seen:
                         seen.add(request)
                         requests.append(request)
@@ -609,6 +607,15 @@ class SweepStats:
     def count(self, source: str) -> None:
         setattr(self, source, getattr(self, source) + 1)
 
+    def counts(self) -> dict[str, int]:
+        """Cells per resolution source: the ``counts`` of a
+        :class:`~repro.api.SweepReport` and of a ``repro serve`` job
+        (``SweepStats(**counts)`` reads them back)."""
+        return {
+            source: getattr(self, source)
+            for source in ("memo", "cache", "computed", "failed")
+        }
+
     def summary(self) -> str:
         text = (
             f"{self.total} cells: {self.computed} computed, "
@@ -626,17 +633,23 @@ class SweepStats:
         completable and persisted it, so a re-run after fixing the
         failing cells is warm.
         """
-        if not self.failures:
-            return
-        details = "; ".join(
-            f"{r.kernel}:{r.target} @ {r.constraint_db:g} dB "
-            f"(wlo={r.wlo}, flow={r.flow}): {error}"
-            for r, error in self.failures
-        )
-        raise FlowError(
-            f"{self.failed} of {self.total} sweep cells failed "
-            f"(all other cells completed) — {details}"
-        )
+        if self.failures:
+            raise _incomplete_error(self.failures, self.total)
+
+
+def _incomplete_error(
+    failures: list[tuple[CellRequest, str]], total: int
+) -> FlowError:
+    """The one error naming every failed cell of a ``total``-cell grid."""
+    details = "; ".join(
+        f"{r.kernel}:{r.target} @ {r.constraint_db:g} dB "
+        f"(wlo={r.wlo}, flow={r.flow}): {error}"
+        for r, error in failures
+    )
+    return FlowError(
+        f"{len(failures)} of {total} sweep cells failed "
+        f"(all other cells completed) — {details}"
+    )
 
 
 class SweepExecutor:

@@ -9,6 +9,13 @@ this figure, which ``EXPERIMENTS.md`` checks:
 * WLO-First frequently lands *below* 1x (SLP-blind WLO degrades);
 * both converge toward 1x at the strictest constraints;
 * VEX-1 gains exceed VEX-4 gains (ILP absorbs SIMD benefit).
+
+Each function here takes the grid's coordinates plus a cell's axes as
+``**axes`` (``continuation="pareto"``, ``format="float32"``, …; see
+:data:`~repro.experiments.engine.CELL_AXES`) and forwards them to the
+runner by name.  ``repro fig4 --dense`` sweeps
+:data:`DENSE_CONSTRAINT_GRID` under the ``pareto`` mode unless a mode
+was given.
 """
 
 from __future__ import annotations
@@ -43,34 +50,14 @@ def fig4_panel(
     kernel: str,
     target: str,
     grid: tuple[float, ...] = PAPER_CONSTRAINT_GRID,
-    sim_backend: str = "",
-    continuation: str = "",
-    format: str = "",
+    **axes: str,
 ) -> dict[str, list[tuple[float, float]]]:
     """The two speedup series of one panel."""
-    cells = runner.sweep(
-        kernel, target, grid, sim_backend=sim_backend,
-        continuation=continuation, format=format,
-    )
+    cells = runner.sweep(kernel, target, grid, **axes)
     return {
         "WLO-FIRST": [(c.constraint_db, c.wlo_first_speedup) for c in cells],
         "WLO-SLP": [(c.constraint_db, c.wlo_slp_speedup) for c in cells],
     }
-
-
-def _panel_request(
-    kernels, targets, grid, sim_backend, continuation, format
-):
-    """The figure's cells as one typed request (lazy import: cycle)."""
-    from repro.api import SweepRequest
-
-    return SweepRequest(
-        kernels=kernels, targets=targets, grid=grid,
-        sim_backend=sim_backend,
-        continuation=(continuation == "warm"),
-        pareto=(continuation == "pareto"),
-        format=format,
-    )
 
 
 def fig4_table(
@@ -78,23 +65,15 @@ def fig4_table(
     kernels: tuple[str, ...] = ("fir", "iir", "conv"),
     targets: tuple[str, ...] = PAPER_TARGETS,
     grid: tuple[float, ...] = PAPER_CONSTRAINT_GRID,
-    sim_backend: str = "",
-    continuation: str = "",
-    format: str = "",
+    **axes: str,
 ) -> TextTable:
     """All panels as one flat table (kernel, target, constraint).
 
-    The submitted :class:`~repro.api.SweepRequest` completes (and
-    caches) every completable cell first; if any cell failed, one
-    :class:`~repro.errors.FlowError` then names them all — a re-run
-    after the fix resumes warm.  ``continuation`` is the engine-side
-    mode string (``""``/``"warm"``/``"pareto"``); ``format`` a
-    :mod:`repro.formats` name for format-sweep panels.
+    The whole grid is resolved (and cached) first; if any cell failed,
+    one :class:`~repro.errors.FlowError` then names them all — a
+    re-run after the fix resumes warm.
     """
-    request = _panel_request(
-        kernels, targets, grid, sim_backend, continuation, format
-    )
-    runner.submit(request).ensure_complete()
+    runner.prefetch(kernels, targets, grid, **axes).ensure_complete()
     table = TextTable(
         headers=(
             "kernel", "target", "constraint_db",
@@ -105,10 +84,7 @@ def fig4_table(
     )
     for kernel in kernels:
         for target in targets:
-            for cell in runner.sweep(
-                kernel, target, grid, sim_backend=sim_backend,
-                continuation=continuation, format=format,
-            ):
+            for cell in runner.sweep(kernel, target, grid, **axes):
                 table.add_row(
                     kernel, target, cell.constraint_db,
                     cell.scalar_cycles,
@@ -124,32 +100,19 @@ def render_fig4(
     kernels: tuple[str, ...] = ("fir", "iir", "conv"),
     targets: tuple[str, ...] = PAPER_TARGETS,
     grid: tuple[float, ...] = PAPER_CONSTRAINT_GRID,
-    sim_backend: str = "",
-    continuation: str = "",
-    format: str = "",
+    **axes: str,
 ) -> str:
     """Full text rendering: one ASCII plot per panel plus the table."""
-    request = _panel_request(
-        kernels, targets, grid, sim_backend, continuation, format
-    )
-    runner.submit(request).ensure_complete()
-    sections = []
-    for kernel in kernels:
-        for target in targets:
-            series = fig4_panel(
-                runner, kernel, target, grid, sim_backend,
-                continuation, format,
-            )
-            sections.append(line_plot(
-                series,
-                title=f"Fig. 4 panel — {kernel.upper()} on {target}",
-                y_label="speedup",
-                x_label="accuracy constraint (dB)",
-            ))
-    sections.append(
-        fig4_table(
-            runner, kernels, targets, grid, sim_backend, continuation,
-            format,
-        ).render()
-    )
+    runner.prefetch(kernels, targets, grid, **axes).ensure_complete()
+    sections = [
+        line_plot(
+            fig4_panel(runner, kernel, target, grid, **axes),
+            title=f"Fig. 4 panel — {kernel.upper()} on {target}",
+            y_label="speedup",
+            x_label="accuracy constraint (dB)",
+        )
+        for kernel in kernels
+        for target in targets
+    ]
+    sections.append(fig4_table(runner, kernels, targets, grid, **axes).render())
     return "\n\n".join(sections)

@@ -22,22 +22,14 @@ def fig6_series(
     target: str,
     kernels: tuple[str, ...] = ("fir", "iir", "conv"),
     grid: tuple[float, ...] = PAPER_CONSTRAINT_GRID,
-    sim_backend: str = "",
+    **axes: str,
 ) -> dict[str, list[tuple[float, float]]]:
     """Per-kernel float-to-WLO-SLP speedup series for one target."""
-    from repro.api import SweepRequest  # lazy: avoids import cycle
-
-    request = SweepRequest(
-        kernels=kernels, targets=(target,), grid=grid,
-        sim_backend=sim_backend,
-    )
-    runner.submit(request).ensure_complete()
+    runner.prefetch(kernels, (target,), grid, **axes).ensure_complete()
     return {
         kernel.upper(): [
             (cell.constraint_db, cell.float_speedup)
-            for cell in runner.sweep(
-                kernel, target, grid, sim_backend=sim_backend
-            )
+            for cell in runner.sweep(kernel, target, grid, **axes)
         ]
         for kernel in kernels
     }
@@ -48,19 +40,14 @@ def fig6_table(
     targets: tuple[str, ...] = FIG6_TARGETS,
     kernels: tuple[str, ...] = ("fir", "iir", "conv"),
     grid: tuple[float, ...] = PAPER_CONSTRAINT_GRID,
-    sim_backend: str = "",
+    **axes: str,
 ) -> TextTable:
     """All Fig. 6 points as one flat table.
 
     Completes and caches everything completable before one
     :class:`~repro.errors.FlowError` reports any failed cells.
     """
-    from repro.api import SweepRequest  # lazy: avoids import cycle
-
-    request = SweepRequest(
-        kernels=kernels, targets=targets, grid=grid, sim_backend=sim_backend
-    )
-    runner.submit(request).ensure_complete()
+    runner.prefetch(kernels, targets, grid, **axes).ensure_complete()
     table = TextTable(
         headers=("target", "kernel", "constraint_db", "float_cycles",
                  "wlo_slp_cycles", "speedup"),
@@ -68,9 +55,7 @@ def fig6_table(
     )
     for target in targets:
         for kernel in kernels:
-            for cell in runner.sweep(
-                kernel, target, grid, sim_backend=sim_backend
-            ):
+            for cell in runner.sweep(kernel, target, grid, **axes):
                 table.add_row(
                     target, kernel, cell.constraint_db,
                     cell.float_cycles, cell.wlo_slp_cycles,
@@ -84,25 +69,18 @@ def render_fig6(
     targets: tuple[str, ...] = FIG6_TARGETS,
     kernels: tuple[str, ...] = ("fir", "iir", "conv"),
     grid: tuple[float, ...] = PAPER_CONSTRAINT_GRID,
-    sim_backend: str = "",
+    **axes: str,
 ) -> str:
     """ASCII plots per target plus the flat table."""
-    from repro.api import SweepRequest  # lazy: avoids import cycle
-
-    request = SweepRequest(
-        kernels=kernels, targets=targets, grid=grid, sim_backend=sim_backend
-    )
-    runner.submit(request).ensure_complete()
+    runner.prefetch(kernels, targets, grid, **axes).ensure_complete()
     sections = [
         line_plot(
-            fig6_series(runner, target, kernels, grid, sim_backend),
+            fig6_series(runner, target, kernels, grid, **axes),
             title=f"Fig. 6 — speedup of WLO-SLP over floating-point on {target}",
             y_label="speedup",
             x_label="accuracy constraint (dB)",
         )
         for target in targets
     ]
-    sections.append(
-        fig6_table(runner, targets, kernels, grid, sim_backend).render()
-    )
+    sections.append(fig6_table(runner, targets, kernels, grid, **axes).render())
     return "\n\n".join(sections)

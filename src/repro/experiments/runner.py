@@ -1,15 +1,24 @@
 """Experiment sweep runner — the friendly facade over the engine.
 
 :class:`ExperimentRunner` keeps the interface the figure/table modules
-and the benchmark harness use (``context``, ``cell``, ``sweep``), but
-is now a thin veneer over :mod:`repro.experiments.engine`: cells are
-keyed :class:`~repro.experiments.engine.CellRequest` objects (including
-the WLO engine name, so ablation runs can never alias baseline cells),
+and the benchmark harness use (``context``, ``cell``, ``sweep``,
+``prefetch``) as a thin veneer over :mod:`repro.experiments.engine`:
+cells are keyed :class:`~repro.experiments.engine.CellRequest` objects,
 resolved through a :class:`~repro.experiments.engine.SweepExecutor`
 that layers an in-memory memo, an optional persistent on-disk cache,
 and a pluggable execution backend
 (:mod:`repro.experiments.backends`: ``serial`` / ``workqueue``) for
-bulk :meth:`prefetch` fan-out.
+bulk :meth:`prefetch` fan-out.  The runner is sized by one
+:class:`~repro.experiments.engine.KernelConfig`.
+
+A cell's axes (:data:`~repro.experiments.engine.CELL_AXES`: the WLO
+engine, the joint flow, the simulation backend, the continuation mode
+and the numeric format) travel as one ``**axes`` mapping: the CLI
+builds it once (:meth:`repro.api.SweepRequest.cell_axes`), and the
+runner and the figure/table functions forward it to ``CellRequest``
+without naming any axis, so variant cells can never alias baseline
+cells and no layer can drop an axis.
+
 Sweeps are fault-tolerant: a failing cell never aborts
 :meth:`prefetch` — it is reported in the returned stats while every
 other cell completes and persists; :meth:`cell` raises a
@@ -43,17 +52,14 @@ __all__ = ["PAPER_CONSTRAINT_GRID", "PAPER_TARGETS", "Cell", "ExperimentRunner"]
 class ExperimentRunner:
     """Builds kernels and runs sweep cells with memoization.
 
-    ``jobs``/``cache``/``progress`` configure the underlying executor:
-    ``jobs > 1`` makes :meth:`prefetch` fan cells out over the
-    ``workqueue`` worker pool, ``cache`` (a
-    :class:`~repro.experiments.cache.SweepCache`) persists results
-    across processes and sessions.
+    ``config`` sizes the kernels of every cell.  ``jobs``/``cache``/
+    ``progress`` configure the underlying executor: ``jobs > 1`` makes
+    :meth:`prefetch` fan cells out over the ``workqueue`` worker pool,
+    ``cache`` (a :class:`~repro.experiments.cache.SweepCache`) persists
+    results across processes and sessions.
     """
 
-    n_samples: int = 2048
-    analysis_samples: int = 160
-    image_size: int = 66
-    analysis_image_size: int = 18
+    config: KernelConfig = field(default_factory=KernelConfig)
     jobs: int = 1
     cache: object | None = None
     progress: object | None = None
@@ -63,12 +69,6 @@ class ExperimentRunner:
     _cells: dict[CellRequest, Cell] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.config = KernelConfig(
-            n_samples=self.n_samples,
-            analysis_samples=self.analysis_samples,
-            image_size=self.image_size,
-            analysis_image_size=self.analysis_image_size,
-        )
         self.executor = SweepExecutor(
             self.config,
             cache=self.cache,
@@ -79,10 +79,6 @@ class ExperimentRunner:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def kernel_names(self) -> list[str]:
-        return self.config.kernel_names
-
     def context(self, kernel: str) -> AnalysisContext:
         """The analysis context of a kernel: the prefix its cells share
         in the process-global pass cache."""
@@ -92,26 +88,14 @@ class ExperimentRunner:
         return float_cycles(self.config, kernel, target_name)
 
     def cell(
-        self,
-        kernel: str,
-        target_name: str,
-        constraint_db: float,
-        wlo: str = "tabu",
-        flow: str = "wlo-slp",
-        sim_backend: str = "",
-        continuation: str = "",
-        format: str = "",
+        self, kernel: str, target_name: str, constraint_db: float, **axes: str
     ) -> Cell:
         """Run (or recall) one sweep cell."""
-        request = CellRequest(
-            kernel, target_name, float(constraint_db), wlo, flow, sim_backend,
-            continuation, format,
-        )
+        request = CellRequest(kernel, target_name, float(constraint_db), **axes)
         found = self._cells.get(request)
         if found is not None:
             return found
-        plan = SweepPlan(self.config, [request])
-        cells, stats = self.executor.run(plan)
+        cells, stats = self.executor.run(SweepPlan(self.config, [request]))
         found = cells.get(request)
         if found is None:
             error = next(
@@ -120,7 +104,7 @@ class ExperimentRunner:
             )
             raise FlowError(
                 f"sweep cell {kernel}:{target_name} @ {constraint_db:g} dB "
-                f"(wlo={wlo}, flow={flow}) failed: {error}"
+                f"(wlo={request.wlo}, flow={request.flow}) failed: {error}"
             )
         return found
 
@@ -129,31 +113,18 @@ class ExperimentRunner:
         kernel: str,
         target_name: str,
         grid: tuple[float, ...] = PAPER_CONSTRAINT_GRID,
-        wlo: str = "tabu",
-        flow: str = "wlo-slp",
-        sim_backend: str = "",
-        continuation: str = "",
-        format: str = "",
+        **axes: str,
     ) -> list[Cell]:
-        """All cells of one (kernel, target) panel.
+        """All cells of one (kernel, target) panel, in grid order (a
+        continuation mode runs them strictest-first).
 
         ``ensure_complete`` raises one :class:`FlowError` naming every
         failed cell up front — the alternative (letting :meth:`cell`
         trip over the first hole) would re-evaluate each failed cell a
         second time just to fail again.
         """
-        self.prefetch(
-            (kernel,), (target_name,), grid, wlo, flow=flow,
-            sim_backend=sim_backend, continuation=continuation,
-            format=format,
-        ).ensure_complete()
-        return [
-            self.cell(
-                kernel, target_name, a, wlo, flow, sim_backend, continuation,
-                format,
-            )
-            for a in grid
-        ]
+        self.prefetch((kernel,), (target_name,), grid, **axes).ensure_complete()
+        return [self.cell(kernel, target_name, a, **axes) for a in grid]
 
     # ------------------------------------------------------------------
     def prefetch(
@@ -161,39 +132,40 @@ class ExperimentRunner:
         kernels: tuple[str, ...],
         targets: tuple[str, ...],
         grid: tuple[float, ...] = PAPER_CONSTRAINT_GRID,
-        wlo: str = "tabu",
         only: tuple[str, ...] | None = None,
-        flow: str = "wlo-slp",
-        sim_backend: str = "",
-        continuation: str = "",
-        format: str = "",
+        **axes: str,
     ) -> SweepStats:
         """Resolve a whole grid through the executor in one batch.
 
         This is where ``jobs > 1`` pays off: every missing cell of the
         grid is evaluated concurrently, then the figure/table builders
-        read them back from the memo.  Returns the resolution stats.
+        read them back from the memo.  Returns the resolution stats;
+        the figure and table functions call its ``ensure_complete()``.
         """
-        plan = SweepPlan.build(
-            self.config, kernels, targets, grid, wlo, only, flow, sim_backend,
-            continuation, format,
-        )
+        plan = SweepPlan.build(self.config, kernels, targets, grid, only, **axes)
         _, stats = self.executor.run(plan)
         return stats
 
     # ------------------------------------------------------------------
-    # Typed-request surface (repro.api) — what the CLI, the figure
-    # drivers and the ``repro serve`` service all go through.
+    # Typed-request surface (repro.api) — what ``repro sweep`` and the
+    # ``repro serve`` service go through.
 
     @classmethod
-    def from_request(cls, request, *, progress=None, **config) -> "ExperimentRunner":
+    def from_request(
+        cls,
+        request,
+        config: KernelConfig | None = None,
+        *,
+        progress=None,
+        memo: dict[CellRequest, Cell] | None = None,
+    ) -> "ExperimentRunner":
         """Build a runner configured by a :class:`repro.api.SweepRequest`.
 
         Materializes the request's execution options — ``jobs``, the
         execution backend, and the cache configuration (``cache_dir``
-        / ``no_cache``) — into a runner; ``config`` forwards kernel
-        sizing overrides (``n_samples`` etc., used by tests for small
-        fast grids).
+        / ``no_cache``) — into a runner of ``config``-sized kernels
+        (tests use small fast grids); ``memo`` shares one cell memo
+        between runners (``repro serve``'s jobs).
         """
         from repro.experiments.cache import SweepCache
 
@@ -201,11 +173,12 @@ class ExperimentRunner:
         if not request.no_cache:
             cache = SweepCache(request.cache_dir or None)
         return cls(
+            config or KernelConfig(),
             jobs=request.jobs,
             cache=cache,
             progress=progress,
             backend=request.backend or None,
-            **config,
+            _cells={} if memo is None else memo,
         )
 
     def submit_iter(self, request):

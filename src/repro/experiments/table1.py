@@ -23,7 +23,7 @@ def table1(
     targets: tuple[str, ...] = TABLE1_TARGETS,
     grid: tuple[float, ...] = PAPER_CONSTRAINT_GRID,
     kernel: str = "fir",
-    sim_backend: str = "",
+    **axes: str,
 ) -> TextTable:
     """Build Table I (cycle counts of SIMD versions for FIR).
 
@@ -31,19 +31,13 @@ def table1(
     cell surfaces as one :class:`~repro.errors.FlowError` naming all
     failures — the table needs the full grid to keep its columns.
     """
-    from repro.api import SweepRequest  # lazy: avoids import cycle
-
-    request = SweepRequest(
-        kernels=(kernel,), targets=targets, grid=grid,
-        sim_backend=sim_backend,
-    )
-    runner.submit(request).ensure_complete()
+    runner.prefetch((kernel,), targets, grid, **axes).ensure_complete()
     table = TextTable(
         headers=("target", "flow") + tuple(f"{a:g} dB" for a in grid),
         title="Table I — number of cycles of SIMD versions for FIR",
     )
     for target in targets:
-        cells = runner.sweep(kernel, target, grid, sim_backend=sim_backend)
+        cells = runner.sweep(kernel, target, grid, **axes)
         table.add_row(
             target, "WLO-First", *(c.wlo_first_simd_cycles for c in cells)
         )

@@ -18,6 +18,7 @@ from typing import Any
 
 from repro.api import SweepRequest, outcome_payload
 from repro.errors import ReproError
+from repro.experiments.engine import KernelConfig
 
 __all__ = ["Job", "SweepService"]
 
@@ -60,18 +61,17 @@ class SweepService:
     ``defaults`` fills request fields absent from submitted payloads —
     the ``repro serve`` CLI flags (``--jobs``, ``--backend``,
     ``--cache-dir``, ``--format`` …) become process-wide defaults a
-    client can override per job.  ``config`` forwards kernel sizing overrides
-    (``n_samples`` etc.) to every job's runner; tests use it for small
-    fast grids.
+    client can override per job.  ``config`` sizes every job's kernels;
+    tests use it for small fast grids.
     """
 
     def __init__(
         self,
         defaults: dict[str, Any] | None = None,
-        config: dict[str, Any] | None = None,
+        config: KernelConfig | None = None,
     ) -> None:
         self.defaults = dict(defaults or {})
-        self._config = dict(config or {})
+        self.config = config or KernelConfig()
         self._jobs: dict[int, Job] = {}
         self._lock = threading.Lock()
         self._next_id = 0
@@ -158,7 +158,7 @@ class SweepService:
         started = time.perf_counter()
         try:
             runner = ExperimentRunner.from_request(
-                job.request, _cells=self._memo, **self._config
+                job.request, self.config, memo=self._memo
             )
             with self._lock:
                 job.status = "running"
@@ -166,14 +166,8 @@ class SweepService:
             for outcome in stream:
                 with self._lock:
                     job.outcomes.append(outcome_payload(outcome))
-            stats = stream.stats
             with self._lock:
-                job.counts = {
-                    "memo": stats.memo,
-                    "cache": stats.cache,
-                    "computed": stats.computed,
-                    "failed": stats.failed,
-                }
+                job.counts = stream.stats.counts()
                 job.elapsed_s = round(time.perf_counter() - started, 3)
                 job.status = "done"
         except Exception as error:  # job-level breakage, not a cell failure

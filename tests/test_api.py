@@ -4,6 +4,7 @@ standardized unknown-name error format of all five registries."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -180,9 +181,11 @@ class TestRunRequestRoundTrip:
 
 
 class TestCliMaterialization:
-    """Every sweep-backed CLI invocation materializes into a
-    SweepRequest whose JSON round-trip is equal (the acceptance
-    criterion of the unified request API)."""
+    """Every sweep-backed CLI invocation materializes into a valid
+    SweepRequest whose JSON round-trips and equals the JSON recorded in
+    ``tests/data/cli_sweep_requests.json`` (the acceptance criterion of
+    the unified request API; recorded while ``from_args`` still read
+    each flag by hand)."""
 
     INVOCATIONS = [
         ["sweep", "--only", "fir:vex-1", "--grid", "-15"],
@@ -192,7 +195,7 @@ class TestCliMaterialization:
          "--sim-backend", "scalar", "--cache-dir", "/tmp/cache"],
         ["fig4", "--kernels", "fir", "--targets", "vex-1", "--grid", "-25",
          "--jobs", "2"],
-        ["table1", "--grid", "-15", "-25", "--backend", "chunked"],
+        ["table1", "--grid", "-15", "-25", "--backend", "workqueue"],
         ["fig6", "--no-cache"],
         ["ablations", "--kernel", "iir", "--target", "st240", "--jobs", "2"],
         ["validate", "--kernels", "fir", "--sim-backend", "batch"],
@@ -202,7 +205,12 @@ class TestCliMaterialization:
         ["sweep", "--format", "float32", "--only", "fir:vex-1"],
         ["fig4", "--format", "bfloat16", "--kernels", "fir",
          "--targets", "vex-1", "--grid", "-25"],
+        ["table1", "--continuation"],
+        ["fig6", "--pareto"],
     ]
+    RECORDED = json.loads(
+        (Path(__file__).parent / "data" / "cli_sweep_requests.json").read_text()
+    )
 
     @pytest.mark.parametrize(
         "argv", INVOCATIONS, ids=lambda argv: " ".join(argv)
@@ -211,7 +219,8 @@ class TestCliMaterialization:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(argv)
-        request = SweepRequest.from_args(args)
+        request = SweepRequest.from_args(args).validate()
+        assert request.to_json() == self.RECORDED[" ".join(argv)]
         assert SweepRequest.from_json(request.to_json()) == request
 
     def test_shared_engine_flags_reach_the_request(self):
@@ -359,13 +368,13 @@ class TestRegistryListing:
 
 class TestSweepReport:
     def test_report_round_trips_and_rehydrates(self):
-        from repro.experiments import ExperimentRunner
+        from repro.experiments import ExperimentRunner, KernelConfig
 
         request = SweepRequest(
             kernels=("fir",), targets=("vex-1",), grid=(-15.0,),
             no_cache=True,
         )
-        runner = ExperimentRunner.from_request(request, **SMALL)
+        runner = ExperimentRunner.from_request(request, KernelConfig(**SMALL))
         report = runner.submit(request)
         assert report.counts["computed"] == 1
         hydrated = SweepReport.from_json(report.to_json())
@@ -377,13 +386,13 @@ class TestSweepReport:
         report.ensure_complete()
 
     def test_failed_cells_surface_in_ensure_complete(self):
-        from repro.experiments import ExperimentRunner
+        from repro.experiments import ExperimentRunner, KernelConfig
 
         request = SweepRequest(
             kernels=("fir",), targets=("vex-1",), grid=(-15.0, -400.0),
             no_cache=True,
         )
-        runner = ExperimentRunner.from_request(request, **SMALL)
+        runner = ExperimentRunner.from_request(request, KernelConfig(**SMALL))
         report = runner.submit(request)
         assert report.counts["failed"] == 1
         assert len(report.failures) == 1

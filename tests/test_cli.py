@@ -1,5 +1,6 @@
 """Command-line interface tests (fast paths only)."""
 
+import json
 import re
 
 import pytest
@@ -171,3 +172,99 @@ class TestRunFlowSelection:
 class TestValidateCommand:
     def test_parses(self):
         build_parser().parse_args(["validate", "--kernels", "fir"])
+
+
+class TestCellAxisFlags:
+    """Every cell-axis flag of the shared engine parent, on every
+    sweep-backed subcommand: a command either runs the flag's axis into
+    its cells or exits 1 naming the flag — none is dropped silently."""
+
+    #: flag -> (argv tail, CellRequest field, the value its cells carry)
+    FLAGS = {
+        "--sim-backend": (["--sim-backend", "scalar"], "sim_backend", "scalar"),
+        "--continuation": (["--continuation"], "continuation", "warm"),
+        "--pareto": (["--pareto"], "continuation", "pareto"),
+        "--format": (["--format", "float32"], "format", "float32"),
+    }
+    #: Each subcommand on a small slice of its grid.
+    COMMANDS = {
+        "sweep": ["sweep", "--only", "fir:vex-1", "--grid", "-15"],
+        "fig4": ["fig4", "--kernels", "fir", "--targets", "vex-1",
+                 "--grid", "-15"],
+        "table1": ["table1", "--grid", "-15"],
+        "fig6": ["fig6", "--grid", "-15"],
+        "ablations": ["ablations"],
+        "validate": ["validate", "--kernels", "fir"],
+        "serve": ["serve", "--port", "0"],
+    }
+    REJECTED = {
+        ("table1", "--format"),
+        ("fig6", "--format"),
+        ("validate", "--continuation"),
+        ("validate", "--pareto"),
+        ("validate", "--format"),
+        ("ablations", "--sim-backend"),
+        ("ablations", "--continuation"),
+        ("ablations", "--pareto"),
+        ("ablations", "--format"),
+    }
+
+    @pytest.mark.parametrize("flag", list(FLAGS))
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_flag_is_honored_or_rejected(
+        self, command, flag, tmp_path, capsys, monkeypatch
+    ):
+        tail, field, value = self.FLAGS[flag]
+        argv = self.COMMANDS[command] + tail + ["--cache-dir", str(tmp_path)]
+        if command == "serve":
+            requests = self._serve_default_cells(argv, monkeypatch)
+            assert requests and all(
+                getattr(r, field) == value for r in requests
+            )
+            return
+        code = main(argv)
+        captured = capsys.readouterr()
+        if (command, flag) in self.REJECTED:
+            assert code == 1
+            assert flag in captured.err
+            assert not list(tmp_path.glob("*.json"))
+            return
+        assert code == 0, captured.err
+        if command == "validate":
+            # No cells: the flag picks the backend of its simulations,
+            # named in the last (sim_tier) column of every row.
+            rows = [line.split() for line in captured.out.splitlines()
+                    if line.split()[:1] == ["fir"]]
+            assert rows and all(row[-1] == value for row in rows)
+            return
+        requests = [json.loads(path.read_text())["request"]
+                    for path in tmp_path.glob("*.json")]
+        assert requests and all(r[field] == value for r in requests)
+
+    @staticmethod
+    def _serve_default_cells(argv, monkeypatch):
+        """The cells a job submitted to ``repro serve`` without the
+        flag's field would plan (the server is never bound)."""
+        import repro.serve
+        from repro.api import SweepRequest
+
+        services = []
+
+        class _Server:
+            server_address = ("127.0.0.1", 0)
+
+            def serve_forever(self):
+                raise KeyboardInterrupt
+
+            def server_close(self):
+                pass
+
+        def make_server(host, port, service, verbose=False):
+            services.append(service)
+            return _Server()
+
+        monkeypatch.setattr(repro.serve, "make_server", make_server)
+        assert main(argv) == 0
+        (service,) = services
+        payload = {"kernels": ["fir"], "targets": ["vex-1"], "grid": [-15.0]}
+        return SweepRequest.from_payload(payload, service.defaults).plan().requests

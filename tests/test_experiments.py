@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import (
     ExperimentRunner,
+    KernelConfig,
     ablation_wlo_engines,
     ablation_wlo_slp_features,
     fig4_panel,
@@ -21,10 +22,10 @@ GRID = (-15.0, -45.0)
 @pytest.fixture(scope="module")
 def runner():
     """A small runner: same kernels, reduced sizes, fast cells."""
-    return ExperimentRunner(
+    return ExperimentRunner(KernelConfig(
         n_samples=96, analysis_samples=96,
         image_size=18, analysis_image_size=18,
-    )
+    ))
 
 
 class TestRunner:
@@ -134,10 +135,10 @@ class TestSharedPrefix:
 
     @staticmethod
     def _fresh_runner() -> ExperimentRunner:
-        return ExperimentRunner(
+        return ExperimentRunner(KernelConfig(
             n_samples=96, analysis_samples=96,
             image_size=18, analysis_image_size=18,
-        )
+        ))
 
     def test_context_and_float_cycles_run_no_prefix(self, cache):
         runner = self._fresh_runner()

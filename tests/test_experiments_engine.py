@@ -357,7 +357,7 @@ class TestExecutionBackends:
         assert "failed" in line and "WLOError" in line and "-400" in line
 
     def test_runner_cell_raises_with_captured_error(self):
-        runner = ExperimentRunner(**SMALL)
+        runner = ExperimentRunner(KernelConfig(**SMALL))
         with pytest.raises(FlowError, match="infeasible"):
             runner.cell("fir", "xentium", -400.0)
         # The failure is not memoized and neighbours still evaluate.
@@ -365,7 +365,8 @@ class TestExecutionBackends:
 
     def test_explicit_backend_reaches_the_runner(self, tmp_path):
         runner = ExperimentRunner(
-            **SMALL, backend="workqueue", jobs=2, cache=SweepCache(tmp_path)
+            KernelConfig(**SMALL), backend="workqueue", jobs=2,
+            cache=SweepCache(tmp_path),
         )
         assert runner.executor.backend == "workqueue"
         stats = runner.prefetch(("fir",), ("xentium",), (-15.0,))
@@ -402,7 +403,7 @@ class TestParallel:
 
 class TestRunnerKeying:
     def test_wlo_engine_is_part_of_the_key(self):
-        runner = ExperimentRunner(**SMALL)
+        runner = ExperimentRunner(KernelConfig(**SMALL))
         baseline = runner.cell("fir", "xentium", -15.0)
         ablation = runner.cell("fir", "xentium", -15.0, wlo="max-1")
         assert baseline is not ablation  # distinct memo entries
@@ -438,6 +439,94 @@ class TestRunnerKeying:
             assert evaluate_cell(config, request, flows=(spec,)) == expected
         finally:
             flow_registry._FLOWS.pop("test-shipped", None)
+
+
+class TestCellAxes:
+    """A cell's axes are declared once beside CellRequest; the flow
+    overrides, the signature memo and the sweep request's mapping are
+    derived from the two tuples."""
+
+    def test_flow_axes_are_cell_axes(self):
+        import dataclasses
+
+        from repro.experiments.engine import CELL_AXES, FLOW_AXES
+
+        fields = [f.name for f in dataclasses.fields(CellRequest)]
+        assert fields[:3] == ["kernel", "target", "constraint_db"]
+        assert CELL_AXES == tuple(fields[3:])
+        assert set(FLOW_AXES) <= set(CELL_AXES)
+        assert "wlo" not in FLOW_AXES
+
+    @pytest.mark.parametrize("request_fields", [
+        {},
+        {"continuation": True, "sim_backend": "scalar", "format": "float32"},
+        {"pareto": True, "wlo": "max-1", "flow": "wlo-first-greedy"},
+    ])
+    def test_sweep_request_maps_exactly_the_cell_axes(self, request_fields):
+        from repro.api import SweepRequest
+        from repro.experiments.engine import CELL_AXES
+
+        request = SweepRequest(**request_fields)
+        axes = request.cell_axes()
+        assert list(axes) == list(CELL_AXES)
+        assert axes["continuation"] == request.continuation_mode
+        assert all(
+            axes[axis] == getattr(request, axis)
+            for axis in CELL_AXES if axis != "continuation"
+        )
+        assert all(
+            cell == CellRequest(cell.kernel, cell.target, cell.constraint_db,
+                                **axes)
+            for cell in request.plan().requests
+        )
+
+    @pytest.mark.parametrize("flow", [
+        "float", "wlo-first", "wlo-first-greedy", "wlo-slp", "wlo-slp-lite",
+    ])
+    def test_overrides_are_the_set_axes_the_flow_declares(self, flow):
+        from repro.experiments.engine import FLOW_AXES, _flow_overrides
+        from repro.pipeline import available_flows, get_flow
+
+        assert flow in available_flows()
+        spec = get_flow(flow)
+        every = CellRequest(
+            "fir", "vex-1", -15.0, wlo="max-1", sim_backend="scalar",
+            continuation="warm", format="float32",
+        )
+        declared = set(FLOW_AXES) & set(spec.params)
+        assert _flow_overrides(spec, every) == {
+            axis: getattr(every, axis) for axis in declared
+        }
+        # Unset axes never reach a flow: it keeps its declared values.
+        assert _flow_overrides(spec, CellRequest("fir", "vex-1", -15.0)) == {}
+        only_backend = CellRequest("fir", "vex-1", -15.0, sim_backend="scalar")
+        assert set(_flow_overrides(spec, only_backend)) == (
+            declared & {"sim_backend"}
+        )
+
+    def test_wlo_selects_the_baseline_engine_only(self, config):
+        """A decoupled joint flow that declares ``wlo`` keeps its own
+        engine: ``wlo-first-greedy`` runs max-1 next to a Tabu
+        baseline, in the cache key and in the cell's numbers."""
+        from repro.experiments.engine import cell_pipeline_signature
+
+        request = CellRequest(
+            "fir", "xentium", -15.0, wlo="tabu", flow="wlo-first-greedy"
+        )
+        signature = cell_pipeline_signature(request)
+        assert "wlo[engine='tabu']" in signature["baseline"]
+        assert "wlo[engine='max-1']" in signature["joint"]
+        assert "wlo[engine='tabu']" not in signature["joint"]
+
+        cell = evaluate_cell(config, request)
+        greedy = evaluate_cell(
+            config, CellRequest("fir", "xentium", -15.0, wlo="max-1")
+        )
+        tabu = evaluate_cell(config, CellRequest("fir", "xentium", -15.0))
+        assert cell.wlo_slp_cycles == greedy.wlo_first_simd_cycles
+        assert cell.wlo_slp_noise_db == greedy.wlo_first_noise_db
+        assert cell.wlo_first_simd_cycles == tabu.wlo_first_simd_cycles
+        assert cell.wlo_first_noise_db == tabu.wlo_first_noise_db
 
 
 class TestConcurrentEvaluation:

@@ -452,7 +452,7 @@ class TestFormatCacheKeys:
 
 class TestFormatSweepCells:
     def test_float32_cell_through_the_runner(self):
-        runner = ExperimentRunner(**SMALL)
+        runner = ExperimentRunner(KernelConfig(**SMALL))
         cell = runner.cell("fir", "vex-1", -25.0, format="float32")
         fixed = runner.cell("fir", "vex-1", -25.0)
         # Format cells skip WLO: cycles are the float flow's, the
@@ -466,7 +466,7 @@ class TestFormatSweepCells:
         assert cell != fixed
 
     def test_format_cells_never_go_infeasible(self):
-        runner = ExperimentRunner(**SMALL)
+        runner = ExperimentRunner(KernelConfig(**SMALL))
         # -400 dB is infeasible for fixed point (see test_api) but a
         # format cell has no word lengths to search: it reports the
         # format's noise at any constraint.
@@ -478,7 +478,7 @@ class TestFormatSweepCells:
             kernels=("fir",), targets=("vex-1",), grid=(-15.0, -25.0),
             format="float32", no_cache=True,
         ).validate()
-        runner = ExperimentRunner.from_request(request, **SMALL)
+        runner = ExperimentRunner.from_request(request, KernelConfig(**SMALL))
         report = runner.submit(request)
         report.ensure_complete()
         assert report.counts["computed"] >= 1
@@ -490,7 +490,7 @@ class TestFormatSweepCells:
     def test_bfloat16_sweep_through_the_service(self):
         from repro.serve import SweepService
 
-        service = SweepService(config=SMALL)
+        service = SweepService(config=KernelConfig(**SMALL))
         job = service.submit_payload({
             "kernels": ["fir"], "targets": ["vex-1"], "grid": [-15.0],
             "format": "bfloat16", "no_cache": True,

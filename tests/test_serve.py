@@ -16,9 +16,10 @@ import urllib.request
 import pytest
 
 from repro.api import SweepRequest, registry_listing
+from repro.experiments import KernelConfig
 from repro.serve import SweepService, make_server
 
-SMALL = dict(
+SMALL = KernelConfig(
     n_samples=96, analysis_samples=96, image_size=18, analysis_image_size=18
 )
 
@@ -147,7 +148,7 @@ class TestSubmitAndPoll:
         assert len(outcomes) == 1
 
         request = SweepRequest.from_payload(ONE_CELL)
-        runner = ExperimentRunner.from_request(request, **SMALL)
+        runner = ExperimentRunner.from_request(request, SMALL)
         report = runner.submit(request)
         assert outcomes == json.loads(json.dumps(list(report.outcomes)))
 

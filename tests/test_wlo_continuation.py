@@ -10,7 +10,7 @@ guarantees — a regression here means a seed-adoption path broke.
 import pytest
 
 from repro.errors import WLOError
-from repro.experiments import ExperimentRunner
+from repro.experiments import ExperimentRunner, KernelConfig
 from repro.experiments.engine import CellRequest, cell_pipeline_signature
 from repro.targets import get_target
 from repro.wlo import (
@@ -419,14 +419,14 @@ class TestParetoFrontier:
 # the experiment engine working together.
 
 GRID = (-15.0, -45.0)
-SMALL = dict(
+SMALL = KernelConfig(
     n_samples=96, analysis_samples=96, image_size=18, analysis_image_size=18,
 )
 
 
 @pytest.fixture(scope="module")
 def runner():
-    return ExperimentRunner(**SMALL)
+    return ExperimentRunner(SMALL)
 
 
 class TestSweepContinuation:
