@@ -30,8 +30,8 @@ callers, and off the wire::
     True
 
 :func:`registry_listing` is the shared machine-readable catalog of
-all five registries (flows, WLO engines, simulation backends,
-execution backends, numeric formats) plus kernels and targets — the
+all seven registries (flows, WLO engines, simulation backends,
+execution backends, numeric formats, kernels and targets) — the
 payload of both ``repro flows --json`` / ``repro kernels --json`` and
 the service's ``GET /registries`` endpoint.
 """
@@ -57,6 +57,7 @@ from repro.experiments.engine import (
     _incomplete_error,
     _parse_only,
 )
+from repro.registry import canonical_name
 
 __all__ = [
     "RunRequest",
@@ -68,7 +69,7 @@ __all__ = [
 
 
 def _names(values: Any) -> tuple[str, ...]:
-    return tuple(str(v) for v in values)
+    return tuple(canonical_name(v) for v in values)
 
 
 def _grid(values: Any) -> tuple[float, ...]:
@@ -79,13 +80,13 @@ def _grid(values: Any) -> tuple[float, ...]:
 class SweepRequest:
     """One fully-specified sweep job, identical across every surface.
 
-    Name fields hold registry names (resolved lazily, validated by
-    :meth:`validate`); ``""`` in the optional string fields means "use
-    the default" (``sim_backend``: each flow's declared backend,
-    ``backend``: auto-select serial/workqueue, ``cache_dir``: the
-    standard cache location) — a string rather than ``None`` so the
-    object stays total under JSON round-trips and hashing.
-    :meth:`cell_axes` maps the fields onto a cell's axes.
+    Name fields hold registry names in their registry's spelling
+    (validated by :meth:`validate`); ``""`` in the optional string
+    fields means "use the default" (``sim_backend``: each flow's
+    declared backend, ``backend``: auto-select serial/workqueue,
+    ``cache_dir``: the standard cache location) — a string rather than
+    ``None`` so the object stays total under JSON round-trips and
+    hashing.  :meth:`cell_axes` maps the fields onto a cell's axes.
     """
 
     kernels: tuple[str, ...] = ("fir", "iir", "conv")
@@ -119,8 +120,10 @@ class SweepRequest:
     def __post_init__(self) -> None:
         from repro.formats import canonical_format
 
-        # Canonical spelling so request equality, hashing and the JSON
-        # round-trip never depend on case or binary(E,M) spacing.
+        # One spelling, so equality, hashing, JSON round-trips and the
+        # cells' cache keys never depend on case or binary(E,M) spacing.
+        for name in ("wlo", "flow", "sim_backend", "backend"):
+            object.__setattr__(self, name, canonical_name(getattr(self, name)))
         object.__setattr__(self, "format", canonical_format(self.format))
         # Normalize the sequence fields so value equality (and thus
         # the from_json(to_json()) round-trip) never depends on the
@@ -173,19 +176,14 @@ class SweepRequest:
         from repro.formats import ensure_quantization_format
         from repro.ir.backend import get_backend
         from repro.pipeline import get_flow
-        from repro.targets.registry import get_target
+        from repro.targets.registry import TARGETS
         from repro.wlo.registry import get_wlo_engine
 
         config = KernelConfig()
         for kernel in self.kernels:
-            if kernel not in config.kernel_names:
-                from repro.errors import unknown_name_error
-
-                raise unknown_name_error(
-                    FlowError, "kernel", kernel, config.kernel_names
-                )
+            config.kernel_builders(kernel)
         for target in self.targets:
-            get_target(target)
+            TARGETS.get(target)
         get_flow(self.flow)
         get_wlo_engine(self.wlo)
         if self.sim_backend:
@@ -309,9 +307,10 @@ class RunRequest:
         """Run the flow; returns ``(result, final FlowState)``.
 
         The single Python entry point behind ``repro run``: kernel,
-        target, flow and engine all resolve through their registries,
-        raising the standard unknown-name errors.
+        target, flow, engine and simulation backend resolve through their
+        registries, raising the standard unknown-name errors.
         """
+        from repro.ir.backend import get_backend
         from repro.kernels import kernel_by_name
         from repro.pipeline import execute_flow, get_flow
         from repro.targets.registry import get_target
@@ -320,6 +319,8 @@ class RunRequest:
         program = kernel_by_name(self.kernel)
         target = get_target(self.target)
         spec = get_flow(self.flow)
+        if self.sim_backend:
+            get_backend(self.sim_backend)
         overrides: dict[str, Any] = _flow_overrides(spec, self)
         if self.wlo:
             get_wlo_engine(self.wlo)  # validate, listing alternatives
@@ -485,74 +486,35 @@ class SweepReport:
 # Registry catalog.
 
 
-def _jsonable(value: Any) -> Any:
-    """Parameter defaults as JSON-safe values (``repr`` fallback)."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
-
-
 def registry_listing() -> dict[str, Any]:
     """Machine-readable catalog of every registry, one shape everywhere.
 
     The exact payload of ``repro flows --json`` and of the service's
-    ``GET /registries`` endpoint — flows (with resolved pass lists and
-    default parameters), WLO engines, simulation backends, execution
-    backends, numeric formats, kernels and targets.
+    ``GET /registries`` endpoint: each registry's
+    :meth:`~repro.registry.Registry.listing` (flows with resolved pass
+    lists and default parameters, WLO engines, simulation backends,
+    execution backends, numeric formats, kernels and targets).
     """
-    from repro.experiments.backends import (
-        available_execution_backends,
-        get_execution_backend,
-    )
-    from repro.formats import format_listing
-    from repro.ir.backend import available_backends, get_backend
-    from repro.kernels import kernel_catalog
-    from repro.pipeline import available_flows, get_flow
-    from repro.targets.registry import available_targets
+    from repro.experiments.backends import EXECUTION_BACKENDS
+    from repro.formats import FORMATS
+    from repro.ir.backend import SIM_BACKENDS
+    from repro.kernels import KERNELS
+    from repro.pipeline.registry import FLOWS
+    from repro.targets.registry import TARGETS
     from repro.wlo.continuation import CONTINUATION_MODES
-    from repro.wlo.registry import available_wlo_engines
+    from repro.wlo.registry import WLO_ENGINES
 
-    catalog = kernel_catalog()
     return {
-        "flows": [
-            {
-                "name": name,
-                "description": get_flow(name).description,
-                "passes": get_flow(name).pass_names(),
-                "params": {
-                    k: _jsonable(v) for k, v in get_flow(name).params.items()
-                },
-                "needs_constraint": get_flow(name).needs_constraint,
-            }
-            for name in available_flows()
-        ],
-        "wlo_engines": list(available_wlo_engines()),
+        "flows": FLOWS.listing(),
+        "wlo_engines": WLO_ENGINES.listing(),
         # The opt-in cross-constraint reuse modes of the WLO passes
         # ("" — cold — is the implicit default, not listed).
         "wlo_continuation_modes": [m for m in CONTINUATION_MODES if m],
-        "sim_backends": [
-            {
-                "name": name,
-                "description": get_backend(name).description,
-                # Execution tiers run_fixed may pick between (empty for
-                # single-tier backends); bit-identical by contract.
-                "tiers": [dict(tier) for tier in get_backend(name).tiers],
-            }
-            for name in available_backends()
-        ],
-        "execution_backends": [
-            {
-                "name": name,
-                "description": get_execution_backend(name).description,
-            }
-            for name in available_execution_backends()
-        ],
+        "sim_backends": SIM_BACKENDS.listing(),
+        "execution_backends": EXECUTION_BACKENDS.listing(),
         # The named numeric formats; the parameterized binary(E,M)
         # family resolves dynamically on top of these.
-        "formats": format_listing(),
-        "kernels": [
-            {"name": name, "description": catalog[name][1]}
-            for name in sorted(catalog)
-        ],
-        "targets": list(available_targets()),
+        "formats": FORMATS.listing(),
+        "kernels": KERNELS.listing(),
+        "targets": TARGETS.listing(),
     }

@@ -25,12 +25,12 @@ Usage examples::
     repro validate --oracle
     repro codegen --kernel fir --target xentium --constraint -25 --simd
 
-Kernels, flows, WLO engines and simulation backends are resolved by
-name through their registries (:mod:`repro.kernels`,
-:mod:`repro.pipeline`, :mod:`repro.wlo.registry`,
-:mod:`repro.ir.backend`); ``repro kernels`` and ``repro flows`` list
-them (``--json`` emits the same machine-readable catalog as the
-service's ``GET /registries``).
+Kernels, targets, flows, WLO engines, simulation and execution
+backends and formats are free-form names resolved through their
+registries (:mod:`repro.registry`), case-insensitively and stored in
+the registries' lowercase spelling; ``repro kernels`` and ``repro
+flows`` list them (``--json`` emits the same machine-readable catalog
+as the service's ``GET /registries``).
 
 Every sweep-backed command (``sweep``, ``fig4``, ``table1``, ``fig6``,
 ``ablations``, ``validate``, ``serve``) declares the *same* shared
@@ -43,10 +43,11 @@ They materialize into a typed :class:`repro.api.SweepRequest`: the
 exact object Python callers pass to :meth:`ExperimentRunner.submit`
 and HTTP clients POST to ``repro serve``.  The figure and table
 commands forward its :meth:`~repro.api.SweepRequest.cell_axes` by
-name.  A command that cannot honor a cell-axis flag exits 1 naming it
-(``_UNHONORED_AXES``: ``table1`` and ``fig6`` take no ``--format``,
-``validate`` neither ``--continuation``, ``--pareto`` nor ``--format``,
-``ablations`` none of the four).  Sweeps are fault-tolerant: failing
+name.  A command that cannot honor a shared flag exits 1 naming it
+(``_UNHONORED_FLAGS``: ``table1`` and ``fig6`` take no ``--format``,
+``validate`` none of the execution flags and neither
+``--continuation``, ``--pareto`` nor ``--format``, ``ablations`` none
+of the four cell-axis flags).  Sweeps are fault-tolerant: failing
 cells are reported in a per-cell failure table (and a non-zero exit)
 only after every other cell completed and persisted.
 """
@@ -226,7 +227,6 @@ def _sim_backend_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--sim-backend", default=None, metavar="BACKEND",
-        choices=available_backends(),
         help="evaluation backend for simulation-based steps "
              f"({'/'.join(available_backends())}; default batch — "
              "bit-identical to scalar, vectorized)",
@@ -318,16 +318,15 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "kernels":
         from repro.api import registry_listing
-        from repro.kernels import kernel_catalog
+        from repro.kernels import KERNELS
 
         if args.as_json:
             print(json.dumps(registry_listing(), indent=2, sort_keys=True))
             return 0
-        catalog = kernel_catalog()
-        width = max(len(name) for name in catalog)
-        for name in sorted(catalog):
-            _factory, description = catalog[name]
-            print(f"{name:<{width}}  {description}")
+        entries = KERNELS.listing()
+        width = max(len(entry["name"]) for entry in entries)
+        for entry in entries:
+            print(f"{entry['name']:<{width}}  {entry['description']}")
         return 0
 
     if args.command == "flows":
@@ -346,17 +345,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         ExperimentRunner,
         ablation_wlo_engines,
         ablation_wlo_slp_features,
-        render_fig4,
-        render_fig6,
-        fig4_table,
-        fig6_table,
+        fig4_figure,
+        fig6_figure,
         table1,
         validation_table,
     )
     from repro.report import ProgressPrinter
 
     request = SweepRequest.from_args(args).validate()
-    _reject_unhonored_axes(args.command, request)
+    _reject_unhonored_flags(args.command, request)
     runner = ExperimentRunner.from_request(request, progress=ProgressPrinter())
     grid = tuple(getattr(args, "grid", None) or PAPER_CONSTRAINT_GRID)
     axes = request.cell_axes()
@@ -372,10 +369,11 @@ def _dispatch(args: argparse.Namespace) -> int:
             # frontier once regardless of resolution.  An explicit
             # --continuation still wins.
             axes["continuation"] = axes["continuation"] or "pareto"
-        print(render_fig4(runner, request.kernels, request.targets, grid,
-                          **axes))
-        _export(args, fig4_table(runner, request.kernels, request.targets,
-                                 grid, **axes), "fig4")
+        text, table = fig4_figure(
+            runner, request.kernels, request.targets, grid, **axes
+        )
+        print(text)
+        _export(args, table, "fig4")
         return 0
     if args.command == "table1":
         table = table1(runner, grid=grid, **axes)
@@ -383,8 +381,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         _export(args, table, "table1")
         return 0
     if args.command == "fig6":
-        print(render_fig6(runner, grid=grid, **axes))
-        _export(args, fig6_table(runner, grid=grid, **axes), "fig6")
+        text, table = fig6_figure(runner, grid=grid, **axes)
+        print(text)
+        _export(args, table, "fig6")
         return 0
     if args.command == "validate":
         from repro.ir.backend import DEFAULT_BACKEND
@@ -410,14 +409,17 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise ReproError(f"unhandled command {args.command!r}")
 
 
-#: The shared cell-axis flags each command cannot honor, and why.  A
-#: flag given to such a command is an error, never silently dropped.
-_UNHONORED_AXES: dict[str, tuple[tuple[str, ...], str]] = {
+#: The shared engine flags (by :class:`~repro.api.SweepRequest` field)
+#: each command cannot honor, and why.  A flag given to such a command
+#: is an error, never silently dropped.
+_UNHONORED_FLAGS: dict[str, tuple[tuple[str, ...], str]] = {
     "table1": (("format",), "tabulates fixed-point WLO results"),
     "fig6": (("format",), "tabulates fixed-point WLO results"),
     "validate": (
-        ("continuation", "pareto", "format"),
-        "measures uniform fixed-point specs and runs no WLO search",
+        ("jobs", "backend", "cache_dir", "no_cache", "continuation",
+         "pareto", "format"),
+        "measures uniform fixed-point specs in-process and runs no "
+        "sweep cell or WLO search",
     ),
     "ablations": (
         ("sim_backend", "continuation", "pareto", "format"),
@@ -426,10 +428,13 @@ _UNHONORED_AXES: dict[str, tuple[tuple[str, ...], str]] = {
 }
 
 
-def _reject_unhonored_axes(command: str, request) -> None:
-    names, reason = _UNHONORED_AXES.get(command, ((), ""))
+def _reject_unhonored_flags(command: str, request) -> None:
+    from repro.api import SweepRequest
+
+    names, reason = _UNHONORED_FLAGS.get(command, ((), ""))
+    defaults = SweepRequest()
     for name in names:
-        if getattr(request, name):
+        if getattr(request, name) != getattr(defaults, name):
             flag = "--" + name.replace("_", "-")
             raise ReproError(f"{command} does not take {flag}: it {reason}")
 

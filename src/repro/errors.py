@@ -5,10 +5,10 @@ applications can catch library failures with a single except clause
 while still discriminating on the specific subclass when needed.
 
 :func:`unknown_name_error` builds the one uniform "unknown name"
-message every registry lookup uses (flows, WLO engines, simulation
-backends, execution backends, kernels, targets), so a typo anywhere —
-CLI flag, Python call or wire request — always answers with the
-available alternatives in the same shape.
+message of every :class:`repro.registry.Registry` lookup and of the
+few name checks outside a registry, so a typo anywhere — CLI flag,
+Python call or wire request — always answers with the available
+alternatives in the same shape.
 """
 
 from __future__ import annotations

@@ -72,12 +72,14 @@ from repro.experiments.engine import (
 )
 from repro.experiments.fig4 import (
     DENSE_CONSTRAINT_GRID,
+    fig4_figure,
     fig4_panel,
     fig4_table,
     render_fig4,
 )
 from repro.experiments.fig6 import (
     FIG6_TARGETS,
+    fig6_figure,
     fig6_series,
     fig6_table,
     render_fig6,
@@ -118,8 +120,10 @@ __all__ = [
     "evaluate_cell",
     "get_execution_backend",
     "register_execution_backend",
+    "fig4_figure",
     "fig4_panel",
     "fig4_table",
+    "fig6_figure",
     "fig6_series",
     "fig6_table",
     "render_fig4",

@@ -3,10 +3,11 @@
 The sweep engine separates *what* to evaluate (the
 :class:`~repro.experiments.engine.SweepPlan`) from *how* the missing
 cells are dispatched.  Dispatch strategies are
-:class:`ExecutionBackend` instances resolved by name from this
-registry, mirroring how flows (:mod:`repro.pipeline`), WLO engines
+:class:`ExecutionBackend` instances resolved by name from
+:data:`EXECUTION_BACKENDS`, a :class:`repro.registry.Registry` like
+the tables of flows (:mod:`repro.pipeline`), WLO engines
 (:mod:`repro.wlo.registry`) and simulation backends
-(:mod:`repro.ir.backend`) are resolved:
+(:mod:`repro.ir.backend`):
 
 * ``serial`` — in-process evaluation, one cell at a time.  No pickling,
   no pool start-up; the reference dispatcher.
@@ -45,15 +46,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.errors import ExecutionBackendError, unknown_name_error
+from repro.errors import ExecutionBackendError
 from repro.experiments.engine import (
     Cell,
     CellRequest,
     KernelConfig,
     evaluate_cell,
 )
+from repro.registry import Registry
 
 __all__ = [
+    "EXECUTION_BACKENDS",
     "CellResult",
     "ExecutionBackend",
     "SerialBackend",
@@ -127,6 +130,10 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
+    def listing(self) -> dict[str, str]:
+        """The backend's entry in :func:`repro.api.registry_listing`."""
+        return {"name": self.name, "description": self.description}
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -145,37 +152,20 @@ class SerialBackend(ExecutionBackend):
 # ----------------------------------------------------------------------
 # Registry.
 
-_EXECUTION_BACKENDS: dict[str, ExecutionBackend] = {}
+EXECUTION_BACKENDS: Registry[ExecutionBackend] = Registry(
+    "execution backend", ExecutionBackendError
+)
+#: Bound once: perfbench's probe replaces this object by identity, and
+#: ``SweepExecutor`` reads the module attribute at dispatch time.
+get_execution_backend = EXECUTION_BACKENDS.get
+available_execution_backends = EXECUTION_BACKENDS.names
 
 
 def register_execution_backend(
     backend: ExecutionBackend, *, overwrite: bool = False
 ) -> ExecutionBackend:
     """Register a backend instance; returns it (decorator-friendly)."""
-    key = backend.name.lower()
-    if key in _EXECUTION_BACKENDS and not overwrite:
-        raise ExecutionBackendError(
-            f"execution backend {backend.name!r} is already registered; "
-            f"pass overwrite=True to replace it"
-        )
-    _EXECUTION_BACKENDS[key] = backend
-    return backend
-
-
-def get_execution_backend(name: str) -> ExecutionBackend:
-    """Look an execution backend up by name (case-insensitive)."""
-    found = _EXECUTION_BACKENDS.get(name.lower())
-    if found is None:
-        raise unknown_name_error(
-            ExecutionBackendError, "execution backend", name,
-            available_execution_backends(),
-        )
-    return found
-
-
-def available_execution_backends() -> list[str]:
-    """Names accepted by :func:`get_execution_backend`."""
-    return sorted(_EXECUTION_BACKENDS)
+    return EXECUTION_BACKENDS.register(backend.name, backend, overwrite=overwrite)
 
 
 register_execution_backend(SerialBackend())

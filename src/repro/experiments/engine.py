@@ -44,7 +44,8 @@ from repro.pipeline import (
     get_flow,
     run_flow,
 )
-from repro.pipeline.registry import registry_generation
+from repro.pipeline.registry import FLOWS
+from repro.registry import canonical_name
 from repro.targets.registry import get_target
 
 __all__ = [
@@ -109,7 +110,15 @@ class KernelConfig:
 
     @property
     def kernel_names(self) -> list[str]:
-        return ["fir", "iir", "conv"]
+        return list(self.builders())
+
+    def kernel_builders(self, kernel: str) -> tuple[Callable, Callable]:
+        """One kernel's pair of :meth:`builders` (the sweep's one kernel
+        check: the standard unknown-name error for any other name)."""
+        found = self.builders().get(canonical_name(kernel))
+        if found is None:
+            raise unknown_name_error(FlowError, "kernel", kernel, self.kernel_names)
+        return found
 
 
 @dataclass(frozen=True, order=True)
@@ -155,9 +164,11 @@ class CellRequest:
     format: str = ""
 
     def __post_init__(self) -> None:
-        # Frozen dataclass: normalize through the canonicalizer so
-        # "fixed"/"FIXED"/"" (and binary(E,M) spacing variants) are one
-        # request identity.
+        # Frozen dataclass: store every name in its registry's spelling
+        # (and "fixed"/"FIXED"/"" or binary(E,M) spacing variants as
+        # the format's), so two spellings are one request identity.
+        for name in ("kernel", "target", "wlo", "flow", "sim_backend"):
+            object.__setattr__(self, name, canonical_name(getattr(self, name)))
         object.__setattr__(self, "format", canonical_format(self.format))
 
 
@@ -231,16 +242,11 @@ _PROGRAMS_LOCK = threading.Lock()
 
 def kernel_programs(config: KernelConfig, kernel: str) -> tuple:
     """Build (or recall) one kernel's (benchmark, analysis-twin) pair."""
-    key = (config, kernel)
+    key = (config, canonical_name(kernel))
     with _PROGRAMS_LOCK:
         found = _PROGRAMS.get(key)
         if found is None:
-            builders = config.builders()
-            if kernel not in builders:
-                raise unknown_name_error(
-                    FlowError, "kernel", kernel, config.kernel_names
-                )
-            build, build_twin = builders[kernel]
+            build, build_twin = config.kernel_builders(kernel)
             found = (build(), build_twin())
             _PROGRAMS[key] = found
     return found
@@ -259,7 +265,7 @@ def float_cycles(config: KernelConfig, kernel: str, target: str) -> int:
     return run_flow("float", program, get_target(target)).total_cycles
 
 
-#: (registry generation, memoized signatures by cell axes) — the
+#: (flow registry generation, memoized signatures by cell axes) — the
 #: sweep cache computes a cell key on every load *and* store, so each
 #: axes' structure is resolved once per registry state instead of
 #: rebuilding three pipelines per cell.
@@ -276,7 +282,7 @@ def cell_pipeline_signature(request: CellRequest) -> dict[str, list[str]]:
     existing flow's pass list or parameters — can never alias cached
     cells of another pipeline shape.
     """
-    generation = registry_generation()
+    generation = FLOWS.generation
     if _SIGNATURES[0] != generation:
         _SIGNATURES[0] = generation
         _SIGNATURES[1] = {}
@@ -533,8 +539,8 @@ class SweepPlan:
             constraints = sorted(constraints)
         seen: set[CellRequest] = set()
         requests: list[CellRequest] = []
-        for kernel in kernels:
-            for target in targets:
+        for kernel in map(canonical_name, kernels):
+            for target in map(canonical_name, targets):
                 if pairs is not None and (kernel, target) not in pairs:
                     continue
                 for constraint in constraints:
@@ -558,7 +564,7 @@ def _parse_only(only: Iterable[str] | None) -> set[tuple[str, str]] | None:
         return None
     pairs: set[tuple[str, str]] = set()
     for item in only:
-        kernel, sep, target = item.partition(":")
+        kernel, sep, target = canonical_name(item).partition(":")
         if not sep or not kernel or not target:
             raise FlowError(
                 f"bad --only filter {item!r}; expected KERNEL:TARGET"

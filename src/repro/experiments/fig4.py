@@ -23,6 +23,7 @@ from __future__ import annotations
 from repro.experiments.runner import (
     PAPER_CONSTRAINT_GRID,
     PAPER_TARGETS,
+    Cell,
     ExperimentRunner,
 )
 from repro.report.ascii_plot import line_plot
@@ -30,6 +31,7 @@ from repro.report.tables import TextTable
 
 __all__ = [
     "DENSE_CONSTRAINT_GRID",
+    "fig4_figure",
     "fig4_panel",
     "fig4_table",
     "render_fig4",
@@ -53,27 +55,39 @@ def fig4_panel(
     **axes: str,
 ) -> dict[str, list[tuple[float, float]]]:
     """The two speedup series of one panel."""
-    cells = runner.sweep(kernel, target, grid, **axes)
+    return _series(runner.sweep(kernel, target, grid, **axes))
+
+
+def _series(cells: list[Cell]) -> dict[str, list[tuple[float, float]]]:
     return {
         "WLO-FIRST": [(c.constraint_db, c.wlo_first_speedup) for c in cells],
         "WLO-SLP": [(c.constraint_db, c.wlo_slp_speedup) for c in cells],
     }
 
 
-def fig4_table(
+def fig4_table(runner: ExperimentRunner, *args, **kwargs) -> TextTable:
+    """All panels as one flat table (kernel, target, constraint);
+    takes the arguments of :func:`fig4_figure`."""
+    return fig4_figure(runner, *args, **kwargs)[1]
+
+
+def render_fig4(runner: ExperimentRunner, *args, **kwargs) -> str:
+    """Full text rendering: one ASCII plot per panel plus the table;
+    takes the arguments of :func:`fig4_figure`."""
+    return fig4_figure(runner, *args, **kwargs)[0]
+
+
+def fig4_figure(
     runner: ExperimentRunner,
     kernels: tuple[str, ...] = ("fir", "iir", "conv"),
     targets: tuple[str, ...] = PAPER_TARGETS,
     grid: tuple[float, ...] = PAPER_CONSTRAINT_GRID,
     **axes: str,
-) -> TextTable:
-    """All panels as one flat table (kernel, target, constraint).
-
-    The whole grid is resolved (and cached) first; if any cell failed,
-    one :class:`~repro.errors.FlowError` then names them all — a
-    re-run after the fix resumes warm.
-    """
-    runner.prefetch(kernels, targets, grid, **axes).ensure_complete()
+) -> tuple[str, TextTable]:
+    """The full text rendering and its flat table, from one resolution
+    of the grid: if any cell failed, one :class:`~repro.errors.FlowError`
+    names them all (after the rest is cached; a re-run resumes warm)."""
+    panels = runner.panels(kernels, targets, grid, **axes)
     table = TextTable(
         headers=(
             "kernel", "target", "constraint_db",
@@ -82,37 +96,22 @@ def fig4_table(
         ),
         title="Fig. 4 — SIMD speedup over scalar fixed-point (WLO-First baseline)",
     )
-    for kernel in kernels:
-        for target in targets:
-            for cell in runner.sweep(kernel, target, grid, **axes):
-                table.add_row(
-                    kernel, target, cell.constraint_db,
-                    cell.scalar_cycles,
-                    round(cell.wlo_first_speedup, 3),
-                    round(cell.wlo_slp_speedup, 3),
-                    cell.wlo_first_groups, cell.wlo_slp_groups,
-                )
-    return table
-
-
-def render_fig4(
-    runner: ExperimentRunner,
-    kernels: tuple[str, ...] = ("fir", "iir", "conv"),
-    targets: tuple[str, ...] = PAPER_TARGETS,
-    grid: tuple[float, ...] = PAPER_CONSTRAINT_GRID,
-    **axes: str,
-) -> str:
-    """Full text rendering: one ASCII plot per panel plus the table."""
-    runner.prefetch(kernels, targets, grid, **axes).ensure_complete()
+    for (kernel, target), cells in panels.items():
+        for cell in cells:
+            table.add_row(
+                kernel, target, cell.constraint_db,
+                cell.scalar_cycles,
+                round(cell.wlo_first_speedup, 3),
+                round(cell.wlo_slp_speedup, 3),
+                cell.wlo_first_groups, cell.wlo_slp_groups,
+            )
     sections = [
         line_plot(
-            fig4_panel(runner, kernel, target, grid, **axes),
+            _series(cells),
             title=f"Fig. 4 panel — {kernel.upper()} on {target}",
             y_label="speedup",
             x_label="accuracy constraint (dB)",
         )
-        for kernel in kernels
-        for target in targets
+        for (kernel, target), cells in panels.items()
     ]
-    sections.append(fig4_table(runner, kernels, targets, grid, **axes).render())
-    return "\n\n".join(sections)
+    return "\n\n".join(sections + [table.render()]), table

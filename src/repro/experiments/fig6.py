@@ -8,11 +8,11 @@ exploiting the SIMD datapath.
 
 from __future__ import annotations
 
-from repro.experiments.runner import PAPER_CONSTRAINT_GRID, ExperimentRunner
+from repro.experiments.runner import PAPER_CONSTRAINT_GRID, Cell, ExperimentRunner
 from repro.report.ascii_plot import line_plot
 from repro.report.tables import TextTable
 
-__all__ = ["FIG6_TARGETS", "fig6_series", "fig6_table", "render_fig6"]
+__all__ = ["FIG6_TARGETS", "fig6_figure", "fig6_series", "fig6_table", "render_fig6"]
 
 FIG6_TARGETS: tuple[str, ...] = ("xentium", "st240")
 
@@ -25,29 +25,42 @@ def fig6_series(
     **axes: str,
 ) -> dict[str, list[tuple[float, float]]]:
     """Per-kernel float-to-WLO-SLP speedup series for one target."""
-    runner.prefetch(kernels, (target,), grid, **axes).ensure_complete()
+    return _series(runner.panels(kernels, (target,), grid, **axes), target)
+
+
+def _series(
+    panels: dict[tuple[str, str], list[Cell]], target: str
+) -> dict[str, list[tuple[float, float]]]:
     return {
-        kernel.upper(): [
-            (cell.constraint_db, cell.float_speedup)
-            for cell in runner.sweep(kernel, target, grid, **axes)
-        ]
-        for kernel in kernels
+        kernel.upper(): [(c.constraint_db, c.float_speedup) for c in cells]
+        for (kernel, cells_target), cells in panels.items()
+        if cells_target == target
     }
 
 
-def fig6_table(
+def fig6_table(runner: ExperimentRunner, *args, **kwargs) -> TextTable:
+    """All Fig. 6 points as one flat table;
+    takes the arguments of :func:`fig6_figure`."""
+    return fig6_figure(runner, *args, **kwargs)[1]
+
+
+def render_fig6(runner: ExperimentRunner, *args, **kwargs) -> str:
+    """ASCII plots per target plus the flat table;
+    takes the arguments of :func:`fig6_figure`."""
+    return fig6_figure(runner, *args, **kwargs)[0]
+
+
+def fig6_figure(
     runner: ExperimentRunner,
     targets: tuple[str, ...] = FIG6_TARGETS,
     kernels: tuple[str, ...] = ("fir", "iir", "conv"),
     grid: tuple[float, ...] = PAPER_CONSTRAINT_GRID,
     **axes: str,
-) -> TextTable:
-    """All Fig. 6 points as one flat table.
-
-    Completes and caches everything completable before one
-    :class:`~repro.errors.FlowError` reports any failed cells.
-    """
-    runner.prefetch(kernels, targets, grid, **axes).ensure_complete()
+) -> tuple[str, TextTable]:
+    """The full text rendering and its flat table, from one resolution
+    of the grid: everything completable is cached before one
+    :class:`~repro.errors.FlowError` reports any failed cells."""
+    panels = runner.panels(kernels, targets, grid, **axes)
     table = TextTable(
         headers=("target", "kernel", "constraint_db", "float_cycles",
                  "wlo_slp_cycles", "speedup"),
@@ -55,32 +68,19 @@ def fig6_table(
     )
     for target in targets:
         for kernel in kernels:
-            for cell in runner.sweep(kernel, target, grid, **axes):
+            for cell in panels[kernel, target]:
                 table.add_row(
                     target, kernel, cell.constraint_db,
                     cell.float_cycles, cell.wlo_slp_cycles,
                     round(cell.float_speedup, 3),
                 )
-    return table
-
-
-def render_fig6(
-    runner: ExperimentRunner,
-    targets: tuple[str, ...] = FIG6_TARGETS,
-    kernels: tuple[str, ...] = ("fir", "iir", "conv"),
-    grid: tuple[float, ...] = PAPER_CONSTRAINT_GRID,
-    **axes: str,
-) -> str:
-    """ASCII plots per target plus the flat table."""
-    runner.prefetch(kernels, targets, grid, **axes).ensure_complete()
     sections = [
         line_plot(
-            fig6_series(runner, target, kernels, grid, **axes),
+            _series(panels, target),
             title=f"Fig. 6 — speedup of WLO-SLP over floating-point on {target}",
             y_label="speedup",
             x_label="accuracy constraint (dB)",
         )
         for target in targets
     ]
-    sections.append(fig6_table(runner, targets, kernels, grid, **axes).render())
-    return "\n\n".join(sections)
+    return "\n\n".join(sections + [table.render()]), table

@@ -2,14 +2,14 @@
 
 :class:`ExperimentRunner` keeps the interface the figure/table modules
 and the benchmark harness use (``context``, ``cell``, ``sweep``,
-``prefetch``) as a thin veneer over :mod:`repro.experiments.engine`:
-cells are keyed :class:`~repro.experiments.engine.CellRequest` objects,
-resolved through a :class:`~repro.experiments.engine.SweepExecutor`
-that layers an in-memory memo, an optional persistent on-disk cache,
-and a pluggable execution backend
-(:mod:`repro.experiments.backends`: ``serial`` / ``workqueue``) for
-bulk :meth:`prefetch` fan-out.  The runner is sized by one
-:class:`~repro.experiments.engine.KernelConfig`.
+``panels``, ``prefetch``) as a thin veneer over
+:mod:`repro.experiments.engine`: cells are keyed
+:class:`~repro.experiments.engine.CellRequest` objects, resolved
+through a :class:`~repro.experiments.engine.SweepExecutor` that layers
+an in-memory memo, an optional persistent on-disk cache, and a
+pluggable execution backend (:mod:`repro.experiments.backends`:
+``serial`` / ``workqueue``) for bulk :meth:`prefetch` fan-out.  The
+runner is sized by one :class:`~repro.experiments.engine.KernelConfig`.
 
 A cell's axes (:data:`~repro.experiments.engine.CELL_AXES`: the WLO
 engine, the joint flow, the simulation backend, the continuation mode
@@ -115,16 +115,27 @@ class ExperimentRunner:
         grid: tuple[float, ...] = PAPER_CONSTRAINT_GRID,
         **axes: str,
     ) -> list[Cell]:
-        """All cells of one (kernel, target) panel, in grid order (a
-        continuation mode runs them strictest-first).
+        """All cells of one (kernel, target) panel, in grid order."""
+        panels = self.panels((kernel,), (target_name,), grid, **axes)
+        return panels[kernel, target_name]
 
-        ``ensure_complete`` raises one :class:`FlowError` naming every
-        failed cell up front — the alternative (letting :meth:`cell`
-        trip over the first hole) would re-evaluate each failed cell a
-        second time just to fail again.
-        """
-        self.prefetch((kernel,), (target_name,), grid, **axes).ensure_complete()
-        return [self.cell(kernel, target_name, a, **axes) for a in grid]
+    def panels(
+        self,
+        kernels: tuple[str, ...],
+        targets: tuple[str, ...],
+        grid: tuple[float, ...] = PAPER_CONSTRAINT_GRID,
+        **axes: str,
+    ) -> dict[tuple[str, str], list[Cell]]:
+        """Each (kernel, target) panel's cells in grid order, kernel
+        major, from one :meth:`prefetch` of the whole grid, which raises
+        one :class:`FlowError` naming every failed cell up front (so no
+        failed cell is evaluated twice)."""
+        self.prefetch(kernels, targets, grid, **axes).ensure_complete()
+        return {
+            (k, t): [self.cell(k, t, a, **axes) for a in grid]
+            for k in kernels
+            for t in targets
+        }
 
     # ------------------------------------------------------------------
     def prefetch(

@@ -35,24 +35,25 @@ kept as a test reference in ``tests/format_reference.py``) bit for bit
 and takes about half its time; the format simulations call it once per
 rounded op.  :func:`big_to_float` keeps the integer form.
 
-Lookups follow the registry conventions everywhere else: case
-insensitive, with the standard ``unknown <kind> '<name>'; available:
-…`` error (:class:`~repro.errors.FormatError`).
+:data:`FORMATS` is a :class:`repro.registry.Registry` like every other
+name table: case-insensitive lookups, with the standard ``unknown
+<kind> '<name>'; available: …`` error (:class:`~repro.errors.FormatError`).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Iterable
 
 import numpy as np
 
 from repro.errors import FormatError, unknown_name_error
 from repro.fixedpoint.quantize import round_half_even_shift
+from repro.registry import Registry, canonical_name
 
 __all__ = [
     "DEFAULT_FORMAT",
+    "FORMATS",
     "ORACLE_PRECISION",
     "BigFloat",
     "BigFloatFormat",
@@ -63,7 +64,6 @@ __all__ = [
     "big_to_float",
     "canonical_format",
     "ensure_quantization_format",
-    "format_listing",
     "get_format",
     "register_format",
 ]
@@ -463,7 +463,8 @@ class BigFloatFormat(FormatSpec):
 # ----------------------------------------------------------------------
 # Registry.
 
-_FORMATS: dict[str, FormatSpec] = {}
+FORMATS: Registry[FormatSpec] = Registry("format", FormatError)
+available_formats = FORMATS.names
 #: Dynamically resolved ``binary(E,M)`` specs, memoized by canonical
 #: name (they behave as if registered, but the listing shows only the
 #: named formats plus the family hint).
@@ -480,14 +481,7 @@ def register_format(
     spec: FormatSpec, *, overwrite: bool = False
 ) -> FormatSpec:
     """Register a format spec; returns it (decorator-friendly)."""
-    key = spec.name.lower()
-    if key in _FORMATS and not overwrite:
-        raise FormatError(
-            f"format {spec.name!r} is already registered; "
-            f"pass overwrite=True to replace it"
-        )
-    _FORMATS[key] = spec
-    return spec
+    return FORMATS.register(spec.name, spec, overwrite=overwrite)
 
 
 def canonical_format(name: str) -> str:
@@ -500,7 +494,7 @@ def canonical_format(name: str) -> str:
     Unknown names pass through lowercased; they fail lookup later with
     the standard registry error.
     """
-    key = str(name or "").strip().lower()
+    key = canonical_name(name).strip()
     if key in ("", DEFAULT_FORMAT):
         return ""
     match = _BINARY_PATTERN.fullmatch(key)
@@ -516,7 +510,7 @@ def get_format(name: str) -> FormatSpec:
     names construct (and memoize) the parameterized custom float.
     """
     key = canonical_format(name) or DEFAULT_FORMAT
-    found = _FORMATS.get(key)
+    found = FORMATS.find(key)
     if found is not None:
         return found
     match = _BINARY_PATTERN.fullmatch(key)
@@ -529,20 +523,8 @@ def get_format(name: str) -> FormatSpec:
             _BINARY_CACHE[key] = cached
         return cached
     raise unknown_name_error(
-        FormatError, "format", name,
-        list(available_formats()) + [_BINARY_FAMILY],
+        FormatError, "format", name, available_formats() + [_BINARY_FAMILY]
     )
-
-
-def available_formats() -> list[str]:
-    """Registered format names (the ``binary(E,M)`` family resolves
-    dynamically on top of these; see :func:`get_format`)."""
-    return sorted(_FORMATS)
-
-
-def format_listing() -> list[dict[str, object]]:
-    """Registry-catalog entries of every named format, sorted by name."""
-    return [_FORMATS[name].listing() for name in available_formats()]
 
 
 def ensure_quantization_format(name: str) -> FormatSpec:
@@ -554,13 +536,11 @@ def ensure_quantization_format(name: str) -> FormatSpec:
     """
     spec = get_format(name)
     if not spec.sweepable:
-        sweepable: Iterable[str] = (
-            n for n in available_formats() if _FORMATS[n].sweepable
-        )
+        sweepable = [n for n in available_formats() if FORMATS.get(n).sweepable]
         raise FormatError(
             f"format {spec.name!r} is an evaluation oracle, not a "
             f"sweepable quantization target; pick one of "
-            f"{', '.join(sorted(sweepable))} or {_BINARY_FAMILY}"
+            f"{', '.join(sweepable)} or {_BINARY_FAMILY}"
         )
     return spec
 

@@ -3,9 +3,9 @@
 Everything that *executes* programs over stimuli — the simulation
 accuracy evaluator, simulation-based range analysis, the validation
 experiment — goes through an :class:`EvaluationBackend` resolved by
-name from this registry, mirroring how flows, WLO engines and targets
-are resolved.  The evaluation *semantics* are fixed; only the executor
-is swappable:
+name from :data:`SIM_BACKENDS`, a :class:`repro.registry.Registry`
+like the flow, WLO engine and target tables.  The evaluation
+*semantics* are fixed; only the executor is swappable:
 
 * ``scalar`` — the reference executors
   (:class:`~repro.ir.interp.Interpreter`,
@@ -58,7 +58,8 @@ from typing import Callable, Mapping, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import BackendError, unknown_name_error
+from repro.errors import BackendError
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fixedpoint.fxpinterp import FxpConfig
@@ -68,6 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "DEFAULT_BACKEND",
+    "SIM_BACKENDS",
     "BatchBackend",
     "BigFloatBackend",
     "EvaluationBackend",
@@ -186,6 +188,14 @@ class EvaluationBackend:
         """Label of the execution tier ``run_fixed`` would use for this
         (program, spec, config) — e.g. ``batch[int64]``."""
         return self.name
+
+    def listing(self) -> dict[str, object]:
+        """The backend's entry in :func:`repro.api.registry_listing`."""
+        return {
+            "name": self.name,
+            "description": self.description,
+            "tiers": [dict(tier) for tier in self.tiers],
+        }
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
@@ -314,36 +324,16 @@ class BigFloatBackend(EvaluationBackend):
         return "bigfloat[object]"
 
 
-_BACKENDS: dict[str, EvaluationBackend] = {}
+SIM_BACKENDS: Registry[EvaluationBackend] = Registry("evaluation backend", BackendError)
+get_backend = SIM_BACKENDS.get
+available_backends = SIM_BACKENDS.names
 
 
 def register_backend(
     backend: EvaluationBackend, *, overwrite: bool = False
 ) -> EvaluationBackend:
     """Register a backend instance; returns it (decorator-friendly)."""
-    key = backend.name.lower()
-    if key in _BACKENDS and not overwrite:
-        raise BackendError(
-            f"backend {backend.name!r} is already registered; "
-            f"pass overwrite=True to replace it"
-        )
-    _BACKENDS[key] = backend
-    return backend
-
-
-def get_backend(name: str) -> EvaluationBackend:
-    """Look a backend up by name (case-insensitive)."""
-    found = _BACKENDS.get(name.lower())
-    if found is None:
-        raise unknown_name_error(
-            BackendError, "evaluation backend", name, available_backends()
-        )
-    return found
-
-
-def available_backends() -> list[str]:
-    """Names accepted by :func:`get_backend`."""
-    return sorted(_BACKENDS)
+    return SIM_BACKENDS.register(backend.name, backend, overwrite=overwrite)
 
 
 register_backend(ScalarBackend())

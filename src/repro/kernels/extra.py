@@ -3,17 +3,27 @@
 Not part of the paper's benchmark suite, but exercising parts of the
 IR the three paper kernels do not (ABS/SUB in SAD, multiple outputs in
 scale-offset), and small enough for quick-start material.
+:data:`KERNELS` is the catalog of every kernel by name, paper kernels
+included (a :class:`repro.registry.Registry`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
 
-from repro.errors import IRError, unknown_name_error
+from repro.errors import IRError
 from repro.ir.builder import ProgramBuilder
 from repro.ir.index import loop_index
 from repro.ir.program import Program
+from repro.kernels.conv2d import conv2d
+from repro.kernels.fir import fir
+from repro.kernels.iir import iir
+from repro.registry import Registry
 
 __all__ = [
+    "KERNELS",
+    "KernelSpec",
     "dot_product",
     "kernel_by_name",
     "kernel_catalog",
@@ -116,30 +126,38 @@ def scale_offset(
     return builder.build()
 
 
+@dataclass(frozen=True)
+class KernelSpec:
+    """One catalog kernel: its factory and a one-line description."""
+
+    name: str
+    build: Callable[..., Program]
+    description: str
+
+    def listing(self) -> dict[str, str]:
+        """The kernel's entry in :func:`repro.api.registry_listing`."""
+        return {"name": self.name, "description": self.description}
+
+
+KERNELS: Registry[KernelSpec] = Registry("kernel", IRError)
+for _spec in (
+    KernelSpec("conv", conv2d, "3x3 image convolution, fully unrolled (paper)"),
+    KernelSpec("dot", dot_product, "unrolled dot product (quick-start kernel)"),
+    KernelSpec("fir", fir, "64-tap FIR filter, tap loop unrolled by 4 (paper)"),
+    KernelSpec("iir", iir, "10th-order IIR filter, direct form I (paper)"),
+    KernelSpec("sad", sad, "sum of absolute differences (motion estimation)"),
+    KernelSpec("scale_offset", scale_offset, "elementwise y = scale*x + offset"),
+):
+    KERNELS.register(_spec.name, _spec)
+kernel_names = KERNELS.names
+
+
 def kernel_catalog() -> dict[str, tuple]:
     """Every registered kernel: name → (factory, one-line description)."""
-    from repro.kernels.conv2d import conv2d
-    from repro.kernels.fir import fir
-    from repro.kernels.iir import iir
-
-    return {
-        "conv": (conv2d, "3x3 image convolution, fully unrolled (paper)"),
-        "dot": (dot_product, "unrolled dot product (quick-start kernel)"),
-        "fir": (fir, "64-tap FIR filter, tap loop unrolled by 4 (paper)"),
-        "iir": (iir, "10th-order IIR filter, direct form I (paper)"),
-        "sad": (sad, "sum of absolute differences (motion estimation)"),
-        "scale_offset": (scale_offset, "elementwise y = scale*x + offset"),
-    }
-
-
-def kernel_names() -> list[str]:
-    """Names accepted by :func:`kernel_by_name`."""
-    return sorted(kernel_catalog())
+    specs = map(KERNELS.get, kernel_names())
+    return {spec.name: (spec.build, spec.description) for spec in specs}
 
 
 def kernel_by_name(name: str, **kwargs) -> Program:
-    """Factory used by the CLI: any :func:`kernel_catalog` entry."""
-    catalog = kernel_catalog()
-    if name not in catalog:
-        raise unknown_name_error(IRError, "kernel", name, catalog)
-    return catalog[name][0](**kwargs)
+    """Build any :data:`KERNELS` entry by name (case-insensitive)."""
+    return KERNELS.get(name).build(**kwargs)

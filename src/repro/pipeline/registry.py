@@ -7,7 +7,7 @@ final :class:`~repro.pipeline.state.FlowState` into the flow's public
 result object (:class:`~repro.pipeline.results.FlowResult` or
 :class:`~repro.pipeline.results.WloFirstResult`).
 
-The registry mirrors :mod:`repro.targets.registry`: library code and
+:data:`FLOWS` is a :class:`repro.registry.Registry`: library code and
 the CLI resolve flows exclusively through :func:`get_flow` /
 :func:`run_flow`, so registering a variant makes it immediately
 runnable (``repro run --flow NAME``) and sweepable (``repro sweep
@@ -19,15 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import FlowError, unknown_name_error
+from repro.errors import FlowError
 from repro.ir.program import Program
 from repro.pipeline.cache import PassCache
 from repro.pipeline.passes import Pass
 from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.state import FlowState
+from repro.registry import Registry
 from repro.targets.model import TargetModel
 
 __all__ = [
+    "FLOWS",
     "FlowSpec",
     "available_flows",
     "ensure_flow",
@@ -78,35 +80,32 @@ class FlowSpec:
         """Resolved structure (pass signatures) — the cell-key input."""
         return self.pipeline(**overrides).pass_names()
 
+    def listing(self) -> dict[str, Any]:
+        """The flow's entry in :func:`repro.api.registry_listing`."""
+        return {
+            "name": self.name,
+            "description": self.description,
+            "passes": self.pass_names(),
+            # Parameter defaults as JSON-safe values (repr fallback).
+            "params": {
+                k: v if isinstance(v, (str, int, float, bool, type(None))) else repr(v)
+                for k, v in self.params.items()
+            },
+            "needs_constraint": self.needs_constraint,
+        }
 
-_FLOWS: dict[str, FlowSpec] = {}
-#: Bumped on every registry mutation; lets callers memoize derived
-#: data (e.g. the sweep engine's resolved pipeline signatures) without
-#: going stale when a flow is re-declared.
-_GENERATION = 0
 
-
-def registry_generation() -> int:
-    """Monotonic counter of registry mutations (for memo keys)."""
-    return _GENERATION
-
-
-def _mutate(key: str, spec: FlowSpec) -> None:
-    global _GENERATION
-    _FLOWS[key] = spec
-    _GENERATION += 1
+#: Every declared flow.  Its ``generation`` lets callers memoize
+#: derived data (e.g. the sweep engine's resolved pipeline signatures)
+#: without going stale when a flow is re-declared.
+FLOWS: Registry[FlowSpec] = Registry("flow", FlowError)
+get_flow = FLOWS.get
+available_flows = FLOWS.names
 
 
 def register_flow(spec: FlowSpec, *, overwrite: bool = False) -> FlowSpec:
     """Register a flow declaration; returns it (decorator-friendly)."""
-    key = spec.name.lower()
-    if key in _FLOWS and not overwrite:
-        raise FlowError(
-            f"flow {spec.name!r} is already registered; "
-            f"pass overwrite=True to replace it"
-        )
-    _mutate(key, spec)
-    return spec
+    return FLOWS.register(spec.name, spec, overwrite=overwrite)
 
 
 def ensure_flow(spec: FlowSpec) -> None:
@@ -120,24 +119,10 @@ def ensure_flow(spec: FlowSpec) -> None:
     The shipped spec is authoritative: the parent process computed the
     cell's cache key from it, so evaluating any other same-named
     pipeline would store wrong results under that key.  (Unchanged
-    specs compare equal and the assignment is a no-op in effect.)
+    specs compare equal and leave the registry untouched.)
     """
-    key = spec.name.lower()
-    if _FLOWS.get(key) != spec:
-        _mutate(key, spec)
-
-
-def get_flow(name: str) -> FlowSpec:
-    """Look a flow up by name (case-insensitive)."""
-    spec = _FLOWS.get(name.lower())
-    if spec is None:
-        raise unknown_name_error(FlowError, "flow", name, available_flows())
-    return spec
-
-
-def available_flows() -> list[str]:
-    """Names accepted by :func:`get_flow`."""
-    return sorted(_FLOWS)
+    if FLOWS.find(spec.name) != spec:
+        FLOWS.register(spec.name, spec, overwrite=True)
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,8 @@ A thin stdlib-only daemon (no new dependencies — the HTTP layer is
   default) one disk cache, so repeated submissions are warm.
 * :mod:`~repro.serve.http` — the JSON wire: ``POST /jobs`` takes a
   :class:`~repro.api.SweepRequest` payload, ``GET /jobs/<id>/outcomes``
-  polls incremental results, ``GET /registries`` lists the five
-  registries — flows, WLO engines, simulation backends, execution
-  backends, numeric formats — (the exact ``repro flows --json``
-  payload), ``GET
+  polls incremental results, ``GET /registries`` lists the seven
+  registries (the exact ``repro flows --json`` payload), ``GET
   /health`` liveness.
 
 Quick start::

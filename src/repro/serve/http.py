@@ -3,8 +3,8 @@
 Endpoints (all JSON):
 
 * ``GET  /health`` — liveness + job stats.
-* ``GET  /registries`` — the five registries plus kernels and targets;
-  byte-identical payload to ``repro flows --json``.
+* ``GET  /registries`` — the seven registries; byte-identical payload
+  to ``repro flows --json``.
 * ``GET  /jobs`` — every job's summary.
 * ``GET  /jobs/<id>`` — one job's summary (counts, progress, status).
 * ``GET  /jobs/<id>/outcomes?since=N`` — incremental outcome poll;

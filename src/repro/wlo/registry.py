@@ -1,4 +1,4 @@
-"""WLO engine lookup by name (mirrors :mod:`repro.targets.registry`).
+"""WLO engine lookup by name (a :class:`repro.registry.Registry`).
 
 Every engine shares one calling convention::
 
@@ -33,11 +33,13 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.errors import WLOError, unknown_name_error
+from repro.errors import WLOError
+from repro.registry import Registry
 from repro.wlo.greedy import max_minus_one, min_plus_one
 from repro.wlo.tabu import tabu_wlo
 
 __all__ = [
+    "WLO_ENGINES",
     "WloEngine",
     "available_wlo_engines",
     "get_wlo_engine",
@@ -47,36 +49,10 @@ __all__ = [
 #: (program, spec, model, word_lengths, constraint_db) -> engine statistics.
 WloEngine = Callable[..., Any]
 
-_ENGINES: dict[str, WloEngine] = {
-    "tabu": tabu_wlo,
-    "max-1": max_minus_one,
-    "min+1": min_plus_one,
-}
-
-
-def get_wlo_engine(name: str) -> WloEngine:
-    """Look an engine up by name (case-insensitive)."""
-    engine = _ENGINES.get(name.lower())
-    if engine is None:
-        raise unknown_name_error(
-            WLOError, "WLO engine", name, available_wlo_engines()
-        )
-    return engine
-
-
-def available_wlo_engines() -> list[str]:
-    """Names accepted by :func:`get_wlo_engine`."""
-    return sorted(_ENGINES)
-
-
-def register_wlo_engine(
-    name: str, engine: WloEngine, *, overwrite: bool = False
-) -> None:
-    """Register a custom engine (used by examples and tests)."""
-    key = name.lower()
-    if key in _ENGINES and not overwrite:
-        raise WLOError(
-            f"WLO engine {name!r} is already registered; "
-            f"pass overwrite=True to replace it"
-        )
-    _ENGINES[key] = engine
+WLO_ENGINES: Registry[WloEngine] = Registry("WLO engine", WLOError)
+WLO_ENGINES.register("tabu", tabu_wlo)
+WLO_ENGINES.register("max-1", max_minus_one)
+WLO_ENGINES.register("min+1", min_plus_one)
+get_wlo_engine = WLO_ENGINES.get
+available_wlo_engines = WLO_ENGINES.names
+register_wlo_engine = WLO_ENGINES.register

@@ -120,6 +120,19 @@ class TestSimBackendFlag:
                      "--sim-backend", "batch"]) == 0
         assert "float" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--only", "fir:vex-1", "--grid", "-15", "--no-cache"],
+        ["run", "--kernel", "dot", "--flow", "float"],
+    ])
+    def test_unknown_backend_is_a_registry_error(self, argv, capsys):
+        # Resolved through the registry, not argparse choices: exit 1
+        # with the standard message, also where the flow would not use it.
+        assert main(argv + ["--sim-backend", "foo"]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown evaluation backend 'foo'; "
+            "available: batch, bigfloat, scalar\n"
+        )
+
     def test_zero_stimuli_reports_clean_error(self, capsys):
         code = main(["validate", "--kernels", "fir", "--stimuli", "0"])
         assert code == 1
@@ -209,13 +222,23 @@ class TestCellAxisFlags:
         ("ablations", "--format"),
     }
 
+    #: The execution flags validate rejects: it runs no sweep cell.
+    EXECUTION_FLAGS = {
+        "--jobs": ["--jobs", "4"],
+        "--backend": ["--backend", "serial"],
+        "--cache-dir": ["--cache-dir"],
+        "--no-cache": ["--no-cache"],
+    }
+
     @pytest.mark.parametrize("flag", list(FLAGS))
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_flag_is_honored_or_rejected(
         self, command, flag, tmp_path, capsys, monkeypatch
     ):
         tail, field, value = self.FLAGS[flag]
-        argv = self.COMMANDS[command] + tail + ["--cache-dir", str(tmp_path)]
+        argv = self.COMMANDS[command] + tail
+        if command != "validate":
+            argv += ["--cache-dir", str(tmp_path)]
         if command == "serve":
             requests = self._serve_default_cells(argv, monkeypatch)
             assert requests and all(
@@ -240,6 +263,16 @@ class TestCellAxisFlags:
         requests = [json.loads(path.read_text())["request"]
                     for path in tmp_path.glob("*.json")]
         assert requests and all(r[field] == value for r in requests)
+
+    @pytest.mark.parametrize("flag", list(EXECUTION_FLAGS))
+    def test_validate_rejects_execution_flags(self, flag, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        tail = self.EXECUTION_FLAGS[flag]
+        if flag == "--cache-dir":
+            tail = tail + [str(cache_dir)]
+        assert main(self.COMMANDS["validate"] + tail) == 1
+        assert f"validate does not take {flag}: it " in capsys.readouterr().err
+        assert not cache_dir.exists()
 
     @staticmethod
     def _serve_default_cells(argv, monkeypatch):
@@ -268,3 +301,36 @@ class TestCellAxisFlags:
         (service,) = services
         payload = {"kernels": ["fir"], "targets": ["vex-1"], "grid": [-15.0]}
         return SweepRequest.from_payload(payload, service.defaults).plan().requests
+
+
+class TestOneGridResolution:
+    """Fig. 4 and Fig. 6 resolve their grid once and build their table
+    once: one progress line per cell on stderr."""
+
+    @pytest.mark.parametrize("argv, cells", [
+        (["fig4", "--kernels", "fir", "--targets", "vex-1",
+          "--grid", "-15", "-25"], 2),
+        (["fig6", "--grid", "-15", "-45"], 12),
+    ])
+    def test_one_progress_line_per_cell(self, argv, cells, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--cache-dir", str(tmp_path), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == cells
+        assert len(list(tmp_path.glob("*.json"))) == cells
+        # The exported table is the one the figure printed.
+        table = json.loads((out / f"{argv[0]}.json").read_text())
+        assert len(table["rows"]) == cells
+
+
+class TestOneSpelling:
+    def test_case_variants_share_one_cache_cell(self, tmp_path, capsys):
+        def sweep(kernel, target):
+            return main(["sweep", "--kernels", kernel, "--targets", target,
+                         "--grid", "-15", "--cache-dir", str(tmp_path)])
+
+        assert sweep("fir", "XENTIUM") == 0
+        assert "1 cells: 1 computed" in capsys.readouterr().out
+        assert sweep("FIR", "xentium") == 0
+        assert "0 computed, 1 from disk cache" in capsys.readouterr().out
+        assert len(list(tmp_path.glob("*.json"))) == 1

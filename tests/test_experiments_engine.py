@@ -433,12 +433,12 @@ class TestRunnerKeying:
             expected = evaluate_cell(config, request)
             # Simulate a freshly spawned worker: the runtime registration
             # is gone, only the shipped spec can resolve the flow.
-            del flow_registry._FLOWS["test-shipped"]
+            del flow_registry.FLOWS._items["test-shipped"]
             with pytest.raises(FlowError, match="unknown flow"):
                 evaluate_cell(config, request)
             assert evaluate_cell(config, request, flows=(spec,)) == expected
         finally:
-            flow_registry._FLOWS.pop("test-shipped", None)
+            flow_registry.FLOWS._items.pop("test-shipped", None)
 
 
 class TestCellAxes:
